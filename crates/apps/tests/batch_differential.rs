@@ -7,6 +7,12 @@
 //! sequence one request at a time produces — at any device worker count
 //! and any store-schedule seed. Every one of the 13 apps is checked on a
 //! mixed exact/variant batch.
+//!
+//! A single run is itself a batch of one on the same fused path, so the
+//! sequential reference alone would compare that path with itself. An
+//! independent oracle column closes the loop: the same sequence run one
+//! request at a time on the tree-walking engine must match every batched
+//! outcome too.
 
 use paraprox::{compile, latency_table_for, CompileOptions, Device, DeviceApp, DeviceProfile};
 use paraprox_apps::{registry, Scale};
@@ -112,12 +118,39 @@ fn all_apps_batched_execution_is_bit_identical_to_sequential() {
             .collect();
         let seq_diag = seq_app.engine_diagnostics();
 
+        // Independent oracle: the same sequence, one request at a time,
+        // on the tree-walking engine.
+        let mut oracle_app = DeviceApp::new(
+            Device::new(
+                profile
+                    .clone()
+                    .with_engine(ExecEngine::TreeWalk)
+                    .with_parallelism(1),
+            ),
+            &compiled,
+            app.input_gen(Scale::Test),
+        );
+        let oracle: Vec<RunOutcome> = runs
+            .iter()
+            .map(|r| match r.variant {
+                Some(v) => oracle_app.run_variant(v, r.seed),
+                None => oracle_app.run_exact(r.seed),
+            })
+            .map(|out| out.expect("oracle run must succeed"))
+            .collect();
+
         for workers in [1usize, 2, 4] {
             for schedule_seed in [None, Some(9u64)] {
                 let setting = format!("x{workers} schedule {schedule_seed:?}");
                 let mut batched = bind(&app, &compiled, &profile, workers, schedule_seed);
                 let got = batched.run_batch(&runs).expect("batched run must succeed");
                 assert_outcomes_bit_identical(app.spec.name, &setting, &reference, &got);
+                assert_outcomes_bit_identical(
+                    app.spec.name,
+                    &format!("{setting} vs tree-walk oracle"),
+                    &oracle,
+                    &got,
+                );
                 // Host-side fusion may engage at different points (the
                 // sequential path dispatches fused superinstructions from
                 // run 2; a single fused batch profiles all jobs first),

@@ -15,7 +15,7 @@
 //!    and the decision trace is identical at any shard count, worker
 //!    count, or batch window.
 //! 2. **capacity**: the same seeded stream pushed closed-loop through the
-//!    single-shard unbatched engine (the pre-batching path) and through
+//!    single-shard unbatched engine (batch window 1) and through
 //!    the sharded+batched engine; the ratio is the speedup from coalescing
 //!    requests into fused multi-block launches. In `--smoke` mode a ratio
 //!    below 0.90 fails the run (perf gate — the margin absorbs wall-clock

@@ -127,8 +127,7 @@ impl DeviceApp {
         self
     }
 
-    /// Access the underlying device (e.g. to flush caches between
-    /// experiments).
+    /// Access the underlying device (e.g. to read its compile count).
     pub fn device_mut(&mut self) -> &mut Device {
         &mut self.device
     }
@@ -169,24 +168,48 @@ impl DeviceApp {
         Ok((program, pipeline, rate))
     }
 
+    /// One run is a batch of one.
     fn run(&mut self, variant: Option<usize>, seed: u64) -> Result<RunOutcome, RuntimeError> {
-        let (program, pipeline, rate) = self.prepare(variant, seed)?;
-        // Each invocation gets a fresh buffer arena (and cold caches, as a
-        // new launch context would): reclaim afterwards so long tuning and
-        // deployment loops do not grow device memory without bound.
-        let mark = self.device.buffer_mark();
-        self.device.set_approx_rate(rate);
-        let result = pipeline
-            .execute(&mut self.device, &program)
-            .map_err(|e| RuntimeError(e.to_string()));
+        let mut outcomes = self.execute(&[BatchRun { variant, seed }])?;
+        Ok(outcomes.pop().expect("one outcome per run"))
+    }
+
+    /// Execute `runs` as one fused device dispatch
+    /// ([`paraprox_vgpu::execute_fused`]), so the per-request launch
+    /// overhead — validation, program-cache lookups, worker-scope setup,
+    /// per-worker arena refreshes — is paid once per batch. Every job gets
+    /// a fresh buffer arena and cold caches, as a new launch context
+    /// would, so runs are history-independent and long tuning and
+    /// deployment loops do not grow device memory. The runs must share
+    /// one approximate-memory error rate (see [`Approximable::run_batch`]).
+    fn execute(&mut self, runs: &[BatchRun]) -> Result<Vec<RunOutcome>, RuntimeError> {
+        // Bake inputs in batch order (the input-generator call order of
+        // running the batch one request at a time).
+        let mut prepared = Vec::with_capacity(runs.len());
+        let mut batch_rate = 0.0;
+        for r in runs {
+            let (program, pipeline, rate) = self.prepare(r.variant, r.seed)?;
+            if rate != 0.0 {
+                batch_rate = rate;
+            }
+            prepared.push((program, pipeline));
+        }
+        let jobs: Vec<FusedJob<'_>> = prepared
+            .iter()
+            .map(|(program, pipeline)| FusedJob { program, pipeline })
+            .collect();
+        self.device.set_approx_rate(batch_rate);
+        let batch = execute_fused(&mut self.device, &jobs).map_err(|e| RuntimeError(e.to_string()));
         self.device.set_approx_rate(0.0);
-        self.device.reclaim_buffers(mark);
-        let run = result?;
-        self.absorb_stats(&run.stats);
-        Ok(RunOutcome {
-            output: run.flat_output(),
-            cycles: run.stats.total_cycles(),
-        })
+        let mut outcomes = Vec::with_capacity(runs.len());
+        for run in batch? {
+            self.absorb_stats(&run.stats);
+            outcomes.push(RunOutcome {
+                output: run.flat_output(),
+                cycles: run.stats.total_cycles(),
+            });
+        }
+        Ok(outcomes)
     }
 
     fn absorb_stats(&mut self, stats: &paraprox_vgpu::LaunchStats) {
@@ -220,63 +243,25 @@ impl Approximable for DeviceApp {
     }
 
     /// Fused batch execution: every run of the batch becomes one job of a
-    /// single fused device dispatch ([`paraprox_vgpu::execute_fused`]),
-    /// so the per-request launch overhead — validation, program-cache
-    /// lookups, worker-scope setup, per-worker arena clones — is paid
-    /// once per batch. Each invocation of [`DeviceApp`] starts from a
-    /// cold launch context (see [`DeviceApp::run`]'s reclaim), making
-    /// runs history-independent; the fused path preserves each job's
-    /// addresses and cache chain exactly, so outcomes are bit-identical
-    /// to the sequential path (asserted by the `batch_differential`
+    /// single fused device dispatch ([`paraprox_vgpu::execute_fused`]); a
+    /// single run is the same path with a batch of one. Outcomes are
+    /// bit-identical to running the batch one request at a time (asserted,
+    /// against the tree-walking oracle too, by the `batch_differential`
     /// suite in `crates/apps`).
     fn run_batch(&mut self, runs: &[BatchRun]) -> Result<Vec<RunOutcome>, RuntimeError> {
-        if runs.len() <= 1 {
-            // Degenerate batch: the per-request path is cheaper.
-            return runs.iter().map(|r| self.run(r.variant, r.seed)).collect();
-        }
         // The fault injector's rate is device-global, so a fused dispatch
         // can carry at most one *distinct* nonzero error rate (jobs whose
         // pipelines place nothing in approximate memory are unaffected by
-        // the rate). Mixed-rate batches fall back to the sequential path,
-        // which is bit-identical by the fused-path contract.
-        let rates: Vec<f64> = runs
-            .iter()
-            .filter_map(|r| match r.variant {
-                Some(v) if v >= self.variants.len() => Some(self.approx[v - self.variants.len()].1),
-                _ => None,
-            })
-            .collect();
-        let mixed = rates.windows(2).any(|w| w[0].to_bits() != w[1].to_bits());
-        if mixed {
+        // the rate). Mixed-rate batches run one request at a time.
+        let mut rates = runs.iter().filter_map(|r| match r.variant {
+            Some(v) if v >= self.variants.len() => Some(self.approx[v - self.variants.len()].1),
+            _ => None,
+        });
+        let first = rates.next();
+        if rates.any(|rate| Some(rate.to_bits()) != first.map(f64::to_bits)) {
             return runs.iter().map(|r| self.run(r.variant, r.seed)).collect();
         }
-        let batch_rate = rates.first().copied().unwrap_or(0.0);
-        // Bake inputs in batch order (the same input-generator call order
-        // the sequential path produces).
-        let mut prepared = Vec::with_capacity(runs.len());
-        for r in runs {
-            let (program, pipeline, _) = self.prepare(r.variant, r.seed)?;
-            prepared.push((program, pipeline));
-        }
-        let jobs: Vec<FusedJob<'_>> = prepared
-            .iter()
-            .map(|(program, pipeline)| FusedJob { program, pipeline })
-            .collect();
-        self.device.set_approx_rate(batch_rate);
-        let batch = execute_fused(&mut self.device, &jobs).map_err(|e| RuntimeError(e.to_string()));
-        self.device.set_approx_rate(0.0);
-        // Keep the steady-state invariant of the sequential path: the
-        // device's caches are cold after every invocation.
-        self.device.flush_caches();
-        let mut outcomes = Vec::with_capacity(runs.len());
-        for run in batch? {
-            self.absorb_stats(&run.stats);
-            outcomes.push(RunOutcome {
-                output: run.flat_output(),
-                cycles: run.stats.total_cycles(),
-            });
-        }
-        Ok(outcomes)
+        self.execute(runs)
     }
 
     fn engine_diagnostics(&self) -> EngineDiagnostics {

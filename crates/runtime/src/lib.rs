@@ -657,73 +657,28 @@ impl Deployment {
     /// the same input (the exact output is still the one served) and its
     /// quality feeds the same clean-streak hysteresis.
     ///
+    /// This is [`Deployment::invoke_batch`] with a batch of one.
+    ///
     /// # Errors
     ///
-    /// Propagates execution failures.
+    /// Propagates execution failures; a failed invocation leaves the
+    /// deployment unchanged.
     pub fn invoke(
         &mut self,
         app: &mut dyn Approximable,
         seed: u64,
     ) -> Result<InvokeResult, RuntimeError> {
-        self.invocations += 1;
-        self.since_check += 1;
-        let variant = self.current_variant();
-        let run = match variant {
-            Some(v) => app.run_variant(v, seed)?,
-            None => app.run_exact(seed)?,
-        };
-        let mut checked_quality = None;
-        let mut backed_off = false;
-        let mut promoted = false;
-        if self.since_check >= self.config.check_every {
-            self.since_check = 0;
-            match variant {
-                Some(_) => {
-                    // Calibration check of the served variant.
-                    self.checks += 1;
-                    let exact = app.run_exact(seed)?;
-                    let q = app.quality(&exact.output, &run.output);
-                    checked_quality = Some(q);
-                    if self.config.toq.is_met(q) {
-                        promoted = self.record_clean();
-                    } else {
-                        self.violations += 1;
-                        // The terminal rung is Exact, so this never walks
-                        // past the end: variant.is_some() implies
-                        // position < ladder.len() - 1.
-                        self.position += 1;
-                        backed_off = true;
-                        self.clean_streak = 0;
-                    }
-                }
-                None if self.promotion_enabled() && self.position > 0 => {
-                    // Serving exact: shadow-probe the next-better rung so
-                    // the deployment can climb back once quality recovers.
-                    self.checks += 1;
-                    let Rung::Variant(candidate) = self.ladder[self.position - 1] else {
-                        unreachable!("only the terminal rung is exact")
-                    };
-                    let probe = app.run_variant(candidate, seed)?;
-                    let q = app.quality(&run.output, &probe.output);
-                    checked_quality = Some(q);
-                    if self.config.toq.is_met(q) {
-                        promoted = self.record_clean();
-                    } else {
-                        self.violations += 1;
-                        self.clean_streak = 0;
-                    }
-                }
-                None => {}
-            }
-        }
-        Ok(InvokeResult {
-            output: run.output,
-            cycles: run.cycles,
-            variant,
-            checked_quality,
-            backed_off,
-            promoted,
-        })
+        let mut results = self.invoke_batch(app, &[seed])?;
+        Ok(results.pop().expect("one result per seed"))
+    }
+
+    /// How many of `available` waiting requests the next rung-stable
+    /// chunk takes: all of them, or up to and including the next
+    /// calibration boundary. [`Deployment::invoke_batch`] on that many
+    /// seeds serves them at one rung in one [`Approximable::run_batch`]
+    /// call.
+    pub fn chunk_len(&self, available: usize) -> usize {
+        self.plan_batch(available).len
     }
 
     /// Plan the next batch of at most `available` served requests.
@@ -736,11 +691,11 @@ impl Deployment {
     /// calibration re-execution the check needs ([`Calibration`]), to run
     /// on the boundary (last) seed.
     ///
-    /// Because the plan never crosses a boundary, committing it replays
-    /// exactly the state transitions the equivalent [`Deployment::invoke`]
-    /// sequence performs — the decision trace is independent of how many
-    /// requests were available, i.e. of batch-formation timing.
-    pub fn plan_batch(&self, available: usize) -> BatchPlan {
+    /// Because the plan never crosses a boundary, committing it performs
+    /// exactly the state transitions of serving its requests one at a
+    /// time — the decision trace is independent of how many requests were
+    /// available, i.e. of batch-formation timing.
+    fn plan_batch(&self, available: usize) -> BatchPlan {
         let span = self.config.check_every - self.since_check;
         let len = available.min(usize::try_from(span).unwrap_or(usize::MAX));
         let variant = self.current_variant();
@@ -768,8 +723,8 @@ impl Deployment {
 
     /// Commit the outcomes of an executed batch plan: advance the
     /// invocation counters and, at a calibration boundary, drive the
-    /// back-off / clean-streak policy exactly as the equivalent
-    /// [`Deployment::invoke`] sequence would. Returns one
+    /// back-off / probe / clean-streak policy — the only place the
+    /// watchdog decides. Returns one
     /// [`InvokeResult`] per served request; only the boundary (last)
     /// request can carry check fields.
     ///
@@ -778,7 +733,7 @@ impl Deployment {
     /// Fails when the outcome counts do not match the plan, or when the
     /// deployment state changed between plan and commit (the plan is
     /// stale).
-    pub fn commit_batch(
+    fn commit_batch(
         &mut self,
         app: &dyn Approximable,
         plan: &BatchPlan,
@@ -853,11 +808,12 @@ impl Deployment {
         Ok(results)
     }
 
-    /// Serve `seeds` through the batched path: repeatedly plan a
-    /// rung-stable chunk, execute it (plus any calibration re-execution)
-    /// via [`Approximable::run_batch`], and commit. The returned results
-    /// — and the deployment's decision trace — are identical to invoking
-    /// each seed individually, for any `seeds.len()`.
+    /// Serve `seeds`: repeatedly plan a rung-stable chunk, execute it
+    /// (plus any calibration re-execution) via
+    /// [`Approximable::run_batch`], and commit. The returned results — and
+    /// the deployment's decision trace — do not depend on how a request
+    /// stream is split into calls: one seed at a time
+    /// ([`Deployment::invoke`]) and all at once give the same.
     ///
     /// # Errors
     ///
@@ -910,20 +866,20 @@ impl Deployment {
 
 /// What one planned batch will execute (see [`Deployment::plan_batch`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchPlan {
+struct BatchPlan {
     /// Number of served requests in this batch (rung-stable by
     /// construction).
-    pub len: usize,
+    len: usize,
     /// The rung every request of this batch runs at (`None` = exact).
-    pub variant: Option<usize>,
+    variant: Option<usize>,
     /// Calibration re-execution the batch's final request requires, when
     /// the batch ends on a check boundary.
-    pub calibration: Option<Calibration>,
+    calibration: Option<Calibration>,
 }
 
 /// The calibration re-execution a batch boundary needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Calibration {
+enum Calibration {
     /// Re-run the boundary input exactly (the deployment is serving a
     /// variant; the check compares the served output against it).
     Exact,
@@ -1525,6 +1481,91 @@ mod tests {
     }
 
     #[test]
+    fn batched_invocation_decisions_match_hand_derived_traces() {
+        // `invoke` is `invoke_batch` with one seed, so the two suites above
+        // show window independence only. This pins the decisions of both
+        // drift streams to traces derived by hand from the §5 policy, at
+        // every window. Ladder: v0 (200 cycles), v1 (500), exact; TOQ 90.
+        let report = {
+            let mut clean = Mock::new(vec![(95.0, 200), (96.0, 500)]);
+            Tuner::paper_default().tune(&mut clean).unwrap()
+        };
+        let serve = |app: &mut Mock, config: DeploymentConfig, requests: u64, window: usize| {
+            let mut deploy = Deployment::with_config(&report, config);
+            let seeds: Vec<u64> = (0..requests).collect();
+            let mut results = Vec::new();
+            for chunk in seeds.chunks(window) {
+                results.extend(deploy.invoke_batch(app, chunk).unwrap());
+            }
+            (deploy, results)
+        };
+
+        // Seeds 10..30 drift to quality 75/76; checks at seeds 3, 7, ..., 59.
+        // Seed 11 backs off v0 -> v1, seed 15 v1 -> exact; probes of v1 at
+        // 19, 23, 27 miss; 31 and 35 are clean, so 35 promotes to v1; 39
+        // and 43 are clean, so 43 promotes to v0; 47..59 stay clean.
+        for window in [1, 2, 3, 5, 8, 64] {
+            let mut app = Mock::new(vec![(95.0, 200), (96.0, 500)]);
+            app.drift_seeds = Some(10..30);
+            let config = DeploymentConfig {
+                toq: Toq::paper_default(),
+                check_every: 4,
+                promote_after: 2,
+            };
+            let (deploy, results) = serve(&mut app, config, 60, window);
+            for (seed, r) in results.iter().enumerate() {
+                let expected = match seed {
+                    0..=11 | 44..=59 => Some(0),
+                    12..=15 | 36..=43 => Some(1),
+                    _ => None,
+                };
+                assert_eq!(r.variant, expected, "seed {seed} (window={window})");
+                assert_eq!(r.checked_quality.is_some(), seed % 4 == 3, "seed {seed}");
+                assert_eq!(r.backed_off, matches!(seed, 11 | 15), "seed {seed}");
+                assert_eq!(r.promoted, matches!(seed, 35 | 43), "seed {seed}");
+            }
+            assert_eq!(deploy.invocations(), 60);
+            assert_eq!(deploy.checks(), 15);
+            assert_eq!(deploy.violations(), 5);
+            assert_eq!(deploy.promotions(), 2);
+            assert_eq!(deploy.clean_streak(), 4);
+            assert_eq!(deploy.position(), 0);
+            // One run per served request plus one per check.
+            assert_eq!(app.runs, 75);
+        }
+
+        // Quality drops after 25 total runs (calibration runs count).
+        // Checks at seeds 4, 9, ..., 29: seed 24's served run is run 29,
+        // so it backs off to v1; seed 29 backs off to exact, which has no
+        // check without re-promotion.
+        for window in [1, 4, 7, 32] {
+            let mut app = Mock::new(vec![(95.0, 200), (96.0, 500)]);
+            app.drift_after = Some(25);
+            let config = DeploymentConfig {
+                toq: Toq::paper_default(),
+                check_every: 5,
+                promote_after: 0,
+            };
+            let (deploy, results) = serve(&mut app, config, 40, window);
+            for (seed, r) in results.iter().enumerate() {
+                let (variant, output) = match seed {
+                    0..=20 => (Some(0), 95.0),
+                    21..=24 => (Some(0), 75.0),
+                    25..=29 => (Some(1), 76.0),
+                    _ => (None, 100.0),
+                };
+                assert_eq!((r.variant, r.output[0]), (variant, output), "seed {seed}");
+                assert_eq!(r.backed_off, matches!(seed, 24 | 29), "seed {seed}");
+            }
+            assert_eq!(deploy.checks(), 6);
+            assert_eq!(deploy.violations(), 2);
+            assert_eq!(deploy.promotions(), 0);
+            assert_eq!(deploy.position(), 2);
+            assert_eq!(app.runs, 46);
+        }
+    }
+
+    #[test]
     fn plan_batch_never_crosses_a_check_boundary() {
         let mut app = Mock::new(vec![(95.0, 200)]);
         let report = Tuner::paper_default().tune(&mut app).unwrap();
@@ -1562,6 +1603,38 @@ mod tests {
         assert!(deploy
             .commit_batch(&app, &plan, vec![run.clone(), run.clone()], Some(run))
             .is_err());
+    }
+
+    #[test]
+    fn failed_invocation_leaves_the_deployment_unchanged() {
+        struct Failing;
+        impl Approximable for Failing {
+            fn variant_count(&self) -> usize {
+                1
+            }
+            fn variant_label(&self, _: usize) -> String {
+                "v0".into()
+            }
+            fn run_exact(&mut self, _: u64) -> Result<RunOutcome, RuntimeError> {
+                Err(RuntimeError("device fault".into()))
+            }
+            fn run_variant(&mut self, _: usize, _: u64) -> Result<RunOutcome, RuntimeError> {
+                Err(RuntimeError("device fault".into()))
+            }
+            fn quality(&self, _: &[f64], _: &[f64]) -> f64 {
+                100.0
+            }
+        }
+        let mut app = Mock::new(vec![(95.0, 200)]);
+        let report = Tuner::paper_default().tune(&mut app).unwrap();
+        let mut deploy = Deployment::new(&report, Toq::paper_default(), 1);
+        assert!(deploy.invoke(&mut Failing, 0).is_err());
+        assert_eq!(deploy.invocations(), 0);
+        assert_eq!(deploy.checks(), 0);
+        // The next served request is still the first, and still a check.
+        let r = deploy.invoke(&mut app, 1).unwrap();
+        assert_eq!(deploy.invocations(), 1);
+        assert!(r.checked_quality.is_some());
     }
 
     #[test]

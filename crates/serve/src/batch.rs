@@ -3,26 +3,23 @@
 //!
 //! A worker that claims a tenant pops up to `batch_window` consecutive
 //! requests (the tenant's FIFO order) and serves them here as one *batch*.
-//! The batch is split into rung-stable chunks by
-//! [`Deployment::plan_batch`] — a chunk never crosses a calibration
+//! The batch is split into rung-stable chunks at the lengths
+//! [`Deployment::chunk_len`] gives — a chunk never crosses a calibration
 //! boundary, so the watchdog sees exactly the per-request sequence it
-//! would have seen — and each chunk executes through the application's
-//! [`Approximable::run_batch`], which device-backed apps fuse into a
-//! single multi-block launch over the worker-image pool. The per-request
-//! decision trace (variants served, check qualities, back-offs,
-//! re-promotions) is bit-identical to serving the same stream one request
-//! at a time; only wall-clock cost changes.
-//!
-//! A batch of one request takes the classic [`Deployment::invoke`] path,
-//! so a `batch_window` of 1 reproduces the pre-batching engine exactly —
-//! that is the baseline the benchmarks compare against.
+//! would have seen — and each chunk is served by
+//! [`Deployment::invoke_batch`], which executes it through the
+//! application's [`Approximable::run_batch`]; device-backed apps fuse it
+//! into a single multi-block launch over the worker-image pool. The
+//! per-request decision trace (variants served, check qualities,
+//! back-offs, re-promotions) is the same for every batch window; only
+//! wall-clock cost changes. A `batch_window` of 1 serves batches of one
+//! on the same path — the unbatched baseline the benchmarks compare
+//! against.
 
 use std::sync::mpsc;
 use std::time::Instant;
 
-use paraprox_runtime::{
-    Approximable, BatchRun, Calibration, Deployment, InvokeResult, RuntimeError,
-};
+use paraprox_runtime::{Approximable, Deployment, InvokeResult, RuntimeError};
 
 use crate::engine::{Response, TenantId};
 use crate::stats::TenantStats;
@@ -54,17 +51,13 @@ pub(crate) fn serve_claimed(tenant: TenantId, core: &mut Core, items: Vec<BatchI
     }
     core.stats.batches += 1;
     core.stats.peak_batch = core.stats.peak_batch.max(count as u64);
-    if count == 1 {
-        serve_single(tenant, core, items.into_iter().next().expect("one item"));
-        return 1;
-    }
     let mut rest = items.as_slice();
     while !rest.is_empty() {
-        let plan = core.deployment.plan_batch(rest.len());
-        let (chunk, tail) = rest.split_at(plan.len);
+        let (chunk, tail) = rest.split_at(core.deployment.chunk_len(rest.len()));
         rest = tail;
+        let seeds: Vec<u64> = chunk.iter().map(|item| item.seed).collect();
         let started = Instant::now();
-        let outcome = run_chunk(core, &plan, chunk);
+        let outcome = core.deployment.invoke_batch(core.app.as_mut(), &seeds);
         let service_nanos = started.elapsed().as_nanos() as u64;
         match outcome {
             Ok(results) => {
@@ -83,61 +76,6 @@ pub(crate) fn serve_claimed(tenant: TenantId, core: &mut Core, items: Vec<BatchI
         }
     }
     count
-}
-
-/// Execute one rung-stable chunk: served runs plus the boundary
-/// calibration re-execution, fused into a single `run_batch` call, then
-/// committed to the deployment.
-fn run_chunk(
-    core: &mut Core,
-    plan: &paraprox_runtime::BatchPlan,
-    chunk: &[BatchItem],
-) -> Result<Vec<InvokeResult>, RuntimeError> {
-    let mut runs: Vec<BatchRun> = chunk
-        .iter()
-        .map(|item| BatchRun {
-            variant: plan.variant,
-            seed: item.seed,
-        })
-        .collect();
-    if let Some(c) = &plan.calibration {
-        let boundary = chunk.last().expect("calibration implies a non-empty chunk");
-        runs.push(BatchRun {
-            variant: match c {
-                Calibration::Exact => None,
-                Calibration::Probe(v) => Some(*v),
-            },
-            seed: boundary.seed,
-        });
-    }
-    let mut outcomes = core.app.run_batch(&runs)?;
-    if outcomes.len() != runs.len() {
-        return Err(RuntimeError(format!(
-            "run_batch returned {} outcomes for {} runs",
-            outcomes.len(),
-            runs.len()
-        )));
-    }
-    let calibration = plan.calibration.as_ref().map(|_| {
-        outcomes
-            .pop()
-            .expect("calibration outcome appended to the batch")
-    });
-    core.deployment
-        .commit_batch(core.app.as_ref(), plan, outcomes, calibration)
-}
-
-/// The classic one-request path ([`Deployment::invoke`]): used for
-/// degenerate batches so a window of 1 behaves exactly like the
-/// pre-batching engine.
-fn serve_single(tenant: TenantId, core: &mut Core, item: BatchItem) {
-    let started = Instant::now();
-    let outcome = core.deployment.invoke(core.app.as_mut(), item.seed);
-    let service_nanos = started.elapsed().as_nanos() as u64;
-    match outcome {
-        Ok(r) => record(core, &item, service_nanos, Ok(r), tenant),
-        Err(e) => record(core, &item, service_nanos, Err(&e), tenant),
-    }
 }
 
 /// Account one completed request in the tenant's stats and reply to its

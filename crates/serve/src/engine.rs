@@ -33,7 +33,8 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Maximum consecutive requests of one tenant coalesced into a single
     /// fused batch. Clamped to at least 1; a window of 1 disables
-    /// batching (every request takes the classic per-request path).
+    /// coalescing (every request is served as a batch of one on the same
+    /// path).
     pub batch_window: usize,
     /// Target output quality enforced by every tenant's watchdog.
     pub toq: Toq,

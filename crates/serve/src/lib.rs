@@ -41,7 +41,7 @@
 //! tenant pops up to [`ServeConfig::batch_window`] consecutive requests
 //! and serves them as one batch. The deployment splits the batch into
 //! rung-stable chunks (a chunk never crosses a calibration boundary —
-//! [`paraprox_runtime::Deployment::plan_batch`]), and device-backed
+//! [`paraprox_runtime::Deployment::chunk_len`]), and device-backed
 //! applications fuse each chunk into a single multi-block launch over the
 //! device's pooled worker images, amortizing per-request launch overhead.
 //!

@@ -11,7 +11,7 @@ use paraprox_ir::{Func, Kernel, KernelId, MemSpace, Program, Scalar, Ty};
 use crate::bytecode::{self, CompiledKernel};
 use crate::cache::Cache;
 use crate::error::LaunchError;
-use crate::exec::{self, Launch};
+use crate::exec::{self, FusedSegment, Launch};
 use crate::profile::{DeviceProfile, ExecEngine};
 use crate::stats::LaunchStats;
 
@@ -137,21 +137,12 @@ struct CacheEntry {
 /// the `(key, idx)` handle needed to store a freshly fused artifact back
 /// after the profiling launch completes.
 #[derive(Clone)]
-pub(crate) struct ProgramHandle {
+struct ProgramHandle {
     key: u64,
     idx: usize,
-    pub(crate) compiled: Arc<CompiledKernel>,
-    pub(crate) counts: Arc<Vec<AtomicU64>>,
-    pub(crate) fused: Option<Arc<CompiledKernel>>,
-}
-
-impl ProgramHandle {
-    /// Stable identity of the cache entry this handle points at, used to
-    /// deduplicate post-launch fusion across the segments of a fused
-    /// batch.
-    pub(crate) fn entry_id(&self) -> (u64, usize) {
-        (self.key, self.idx)
-    }
+    compiled: Arc<CompiledKernel>,
+    counts: Arc<Vec<AtomicU64>>,
+    fused: Option<Arc<CompiledKernel>>,
 }
 
 /// Per-device cache of bytecode-compiled kernels, keyed by *structural*
@@ -272,12 +263,24 @@ pub struct Device {
     pub(crate) approx_seed: u64,
     /// Worker-image refresh accounting (see
     /// [`Device::image_refresh_copies`]).
-    refresh: exec::RefreshCounters,
+    pub(crate) refresh: exec::RefreshCounters,
 }
 
 impl Device {
     /// Create a device with the given profile.
-    pub fn new(profile: DeviceProfile) -> Device {
+    ///
+    /// The environment knobs are read here, once per device, and never
+    /// during a launch: `PARAPROX_THREADS` (a positive integer) overrides
+    /// [`DeviceProfile::parallelism`], `PARAPROX_ENGINE` overrides
+    /// [`DeviceProfile::engine`], and `PARAPROX_NO_FUSE` sets the fusion
+    /// default. A parallelism of `0` resolves to every available core.
+    /// [`Device::profile`] reports the resolved values.
+    pub fn new(mut profile: DeviceProfile) -> Device {
+        profile.parallelism = threads_from_env().unwrap_or(profile.parallelism);
+        if profile.parallelism == 0 {
+            profile.parallelism = crate::pool::default_parallelism();
+        }
+        profile.engine = engine_from_env().unwrap_or(profile.engine);
         let l1 = Cache::new(profile.cache.l1);
         let constant_cache = Cache::new(profile.cache.constant);
         Device {
@@ -368,7 +371,8 @@ impl Device {
         self.programs.compiles
     }
 
-    /// The device's profile.
+    /// The device's profile, with the environment overrides and the
+    /// worker count resolved (see [`Device::new`]).
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
     }
@@ -406,7 +410,7 @@ impl Device {
         )
     }
 
-    fn alloc_scalars(&mut self, space: MemSpace, ty: Ty, data: Vec<Scalar>) -> BufferId {
+    pub(crate) fn alloc_scalars(&mut self, space: MemSpace, ty: Ty, data: Vec<Scalar>) -> BufferId {
         let mut next = self.next_addr;
         let id = self.alloc_scalars_at(space, ty, data, &mut next);
         self.next_addr = next;
@@ -678,58 +682,33 @@ impl Device {
             }
             overwritten.push(id.0);
         }
-        let handle = match crate::profile::resolve_engine(self.profile.engine) {
-            ExecEngine::Bytecode => Some(self.programs.get_or_compile(program, k, &self.profile)),
-            ExecEngine::TreeWalk => None,
-        };
-        // Pick the artifact: the fused one when available, otherwise the
-        // base artifact — profiling pair frequencies on the way when this
-        // is the entry's first (fusion-enabled) launch.
-        let (compiled, profiling): (Option<&CompiledKernel>, bool) = match &handle {
-            Some(h) if !self.fusion => (Some(&h.compiled), false),
-            Some(h) => match &h.fused {
-                Some(f) => (Some(f), false),
-                None => (Some(&h.compiled), true),
+        let artifact = self.artifact(program, k);
+        let mut segment = [FusedSegment {
+            launch: Launch {
+                profile: &self.profile,
+                program,
+                kernel: k,
+                args,
+                grid,
+                block,
+                compiled: artifact.compiled(),
+                schedule_seed: self.schedule_seed,
+                profile_counts: artifact.profile_counts(),
+                approx_threshold: exec::approx_threshold(self.approx_rate),
+                approx_seed: self.approx_seed,
+                overwritten: &overwritten,
             },
-            None => (None, false),
-        };
-        let launch = Launch {
-            profile: &self.profile,
-            program,
-            kernel: k,
-            args,
-            grid,
-            block,
-            compiled,
-            schedule_seed: self.schedule_seed,
-            profile_counts: match (&handle, profiling) {
-                (Some(h), true) => Some(&h.counts[..]),
-                _ => None,
-            },
-            approx_threshold: exec::approx_threshold(self.approx_rate),
-            approx_seed: self.approx_seed,
-            overwritten: &overwritten,
-        };
-        let result = exec::run_launch(
-            &launch,
+            l1: &mut self.l1,
+            constant_cache: &mut self.constant_cache,
+        }];
+        let stats = exec::run_fused(
+            &mut segment,
             &mut self.buffers,
-            &mut self.l1,
-            &mut self.constant_cache,
             &mut self.image_pool,
             &self.refresh,
-        );
-        // After a successful profiling launch, fuse the hot pairs and
-        // cache the artifact; every later launch of this entry dispatches
-        // the superinstructions. Errored launches skip fusing (their
-        // counts may cover only a prefix of execution). The atomic counts
-        // are worker-count independent: the *set* of executed pcs is
-        // deterministic, and fusion only asks which counts are non-zero.
-        if result.is_ok() && profiling {
-            if let Some(h) = &handle {
-                self.store_fused_from_counts(h);
-            }
-        }
-        result
+        )?;
+        self.store_profiled([&artifact]);
+        Ok(stats[0])
     }
 
     /// Validate a launch shape and argument list against a kernel's
@@ -811,26 +790,72 @@ impl Device {
         Ok(())
     }
 
-    /// Look up (or compile) the bytecode artifact for `kernel` of
-    /// `program` under the device's resolved engine. `None` means the
-    /// tree-walking engine is active.
-    pub(crate) fn program_handle(
-        &mut self,
-        program: &Program,
-        k: &Kernel,
-    ) -> Option<ProgramHandle> {
-        match crate::profile::resolve_engine(self.profile.engine) {
-            ExecEngine::Bytecode => Some(self.programs.get_or_compile(program, k, &self.profile)),
+    /// Look up (or compile) the artifact a launch of `k` runs under this
+    /// device's engine and fusion setting.
+    pub(crate) fn artifact(&mut self, program: &Program, k: &Kernel) -> Artifact {
+        let handle = match self.profile.engine {
+            ExecEngine::Bytecode => {
+                let mut h = self.programs.get_or_compile(program, k, &self.profile);
+                if !self.fusion {
+                    h.fused = None;
+                }
+                Some(h)
+            }
             ExecEngine::TreeWalk => None,
-        }
+        };
+        let profiling = self.fusion && handle.as_ref().is_some_and(|h| h.fused.is_none());
+        Artifact { handle, profiling }
     }
 
-    /// Build the fused superinstruction artifact from a handle's filled
-    /// profiling counters and store it on the cache entry.
-    pub(crate) fn store_fused_from_counts(&mut self, h: &ProgramHandle) {
-        let snapshot: Vec<u64> = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
-        let fused = Arc::new(h.compiled.fuse(&snapshot));
-        self.programs.store_fused(h.key, h.idx, fused);
+    /// After a successful dispatch, fuse the hot pairs of every cache
+    /// entry a profiling launch filled — once per entry — so every later
+    /// launch of it dispatches the superinstructions. Errored dispatches
+    /// must skip this (their counts may cover only a prefix of
+    /// execution). The atomic counts are worker-count independent: the
+    /// *set* of executed pcs is deterministic, and fusion only asks which
+    /// counts are non-zero.
+    pub(crate) fn store_profiled<'x>(&mut self, artifacts: impl IntoIterator<Item = &'x Artifact>) {
+        let mut fused: Vec<(u64, usize)> = Vec::new();
+        for artifact in artifacts {
+            let Some(h) = artifact.handle.as_ref().filter(|_| artifact.profiling) else {
+                continue;
+            };
+            if fused.contains(&(h.key, h.idx)) {
+                continue;
+            }
+            fused.push((h.key, h.idx));
+            let snapshot: Vec<u64> = h.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            self.programs
+                .store_fused(h.key, h.idx, Arc::new(h.compiled.fuse(&snapshot)));
+        }
+    }
+}
+
+/// The compiled artifact one launch runs: the base bytecode, its fused
+/// superinstruction form once built, or nothing under the tree-walking
+/// engine. A launch is *profiling* on its cache entry's first
+/// fusion-enabled launch: it counts executed pcs so the device can fuse
+/// them afterwards ([`Device::store_profiled`]).
+#[derive(Clone)]
+pub(crate) struct Artifact {
+    handle: Option<ProgramHandle>,
+    profiling: bool,
+}
+
+impl Artifact {
+    /// The bytecode to run; `None` selects the tree-walking oracle.
+    pub(crate) fn compiled(&self) -> Option<&CompiledKernel> {
+        self.handle
+            .as_ref()
+            .map(|h| h.fused.as_deref().unwrap_or(&h.compiled))
+    }
+
+    /// The per-pc counters a profiling launch fills.
+    pub(crate) fn profile_counts(&self) -> Option<&[AtomicU64]> {
+        self.handle
+            .as_ref()
+            .filter(|_| self.profiling)
+            .map(|h| &h.counts[..])
     }
 }
 
@@ -861,6 +886,25 @@ fn kernel_reads_param(k: &Kernel, pi: usize) -> bool {
         }
     });
     reads
+}
+
+/// Worker-count override from the environment: `PARAPROX_THREADS` set to
+/// a positive integer. Anything else is ignored.
+fn threads_from_env() -> Option<usize> {
+    let v = std::env::var("PARAPROX_THREADS").ok()?;
+    v.trim().parse::<usize>().ok().filter(|&n| n > 0)
+}
+
+/// Engine override from the environment: `PARAPROX_ENGINE` set to
+/// `bytecode` or `tree`/`treewalk`/`tree-walk` (case-insensitive).
+/// Unrecognized values are ignored.
+fn engine_from_env() -> Option<ExecEngine> {
+    let v = std::env::var("PARAPROX_ENGINE").ok()?;
+    match v.trim().to_ascii_lowercase().as_str() {
+        "bytecode" => Some(ExecEngine::Bytecode),
+        "tree" | "treewalk" | "tree-walk" => Some(ExecEngine::TreeWalk),
+        _ => None,
+    }
 }
 
 /// Fusion default from the environment: `PARAPROX_NO_FUSE` set to a

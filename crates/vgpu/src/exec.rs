@@ -55,7 +55,7 @@ use crate::cache::Cache;
 use crate::device::{ArgValue, BufferStorage, Dim2};
 use crate::error::LaunchError;
 use crate::mask::LaneMask;
-use crate::pool::{self, WorkQueue};
+use crate::pool::WorkQueue;
 use crate::profile::DeviceProfile;
 use crate::stats::LaunchStats;
 
@@ -312,25 +312,21 @@ pub(crate) struct RefreshCounters {
 }
 
 /// Refresh one pooled worker image from the master arena, skipping the
-/// data copy for buffers the launch declared input-overwritten (metadata
+/// data copy for buffers the dispatch declared input-overwritten (metadata
 /// is still synchronized so addresses and spaces stay coherent). A skip
 /// is only taken when the pooled buffer already has the right type and
-/// length — the first launch after an arena change always copies.
+/// length. Retained buffers are refilled in place — `BufferStorage::clone_from`
+/// reuses the heap blocks — so an arena that grew or shrank since the last
+/// dispatch (a fused batch appends its jobs' buffers) reallocates only
+/// the buffers it added.
 fn refresh_image(
     image: &mut Vec<BufferStorage>,
     src: &[BufferStorage],
     overwritten: &[usize],
     counters: &RefreshCounters,
 ) {
-    if image.len() != src.len() {
-        image.clear();
-        image.extend(src.iter().cloned());
-        counters
-            .copies
-            .fetch_add(src.len() as u64, Ordering::Relaxed);
-        return;
-    }
-    let mut copies = 0u64;
+    image.truncate(src.len());
+    let retained = image.len();
     let mut skips = 0u64;
     for (i, (dst, s)) in image.iter_mut().zip(src).enumerate() {
         if overwritten.contains(&i) && dst.ty == s.ty && dst.data.len() == s.data.len() {
@@ -339,10 +335,12 @@ fn refresh_image(
             skips += 1;
         } else {
             dst.clone_from(s);
-            copies += 1;
         }
     }
-    counters.copies.fetch_add(copies, Ordering::Relaxed);
+    image.extend(src[retained..].iter().cloned());
+    counters
+        .copies
+        .fetch_add(src.len() as u64 - skips, Ordering::Relaxed);
     counters.skips.fetch_add(skips, Ordering::Relaxed);
 }
 
@@ -358,7 +356,7 @@ pub(crate) fn approx_threshold(rate: f64) -> u64 {
     }
 }
 
-/// Everything one block finished with; folded in ascending `block` order.
+/// Everything one block finished with; folded in ascending block order.
 struct BlockOutcome {
     block: usize,
     stats: LaunchStats,
@@ -375,26 +373,42 @@ struct Worker<'a> {
     bc: crate::bytecode::BcScratch,
 }
 
-impl Worker<'_> {
+/// A failed block: `(segment, block, error)`.
+type BlockError = (usize, usize, EvalError);
+
+impl<'a> Worker<'a> {
+    fn new(buffers: &'a mut Vec<BufferStorage>) -> Worker<'a> {
+        Worker {
+            buffers,
+            log: Vec::new(),
+            scratch: ScratchPool::default(),
+            bc: crate::bytecode::BcScratch::default(),
+        }
+    }
+
     /// Execute one block against this worker's buffer image, revert the
-    /// image, and package the outcome. `isolate` is false only for
-    /// single-block launches, where writes may land directly.
+    /// image, and package the outcome. The block simulates against clones
+    /// of the segment's entry caches with counters zeroed, so its counters
+    /// are pure deltas. `isolate` is false only for single-block segments
+    /// on the serial path, where writes may land directly.
     fn run_block(
         &mut self,
-        launch: &Launch<'_>,
+        segment: &FusedSegment<'_>,
         block_id: usize,
-        l1_template: &Cache,
-        cc_template: &Cache,
         iterations: &AtomicU64,
         isolate: bool,
     ) -> Result<BlockOutcome, EvalError> {
+        let mut l1 = segment.l1.clone();
+        l1.reset_counters();
+        let mut constant_cache = segment.constant_cache.clone();
+        constant_cache.reset_counters();
         let result = exec_block(
-            launch,
+            &segment.launch,
             block_id,
             self.buffers,
             isolate.then_some(&mut self.log),
-            l1_template.clone(),
-            cc_template.clone(),
+            l1,
+            constant_cache,
             iterations,
             &mut self.scratch,
             &mut self.bc,
@@ -414,394 +428,221 @@ impl Worker<'_> {
             }
         }
     }
-}
 
-/// Execute every block of a launch — serially or across host workers — and
-/// fold the results deterministically. This is the only entry point; the
-/// worker count comes from `PARAPROX_THREADS` /
-/// [`DeviceProfile::parallelism`] (see [`pool::resolve_workers`]).
-pub(crate) fn run_launch(
-    launch: &Launch<'_>,
-    buffers: &mut Vec<BufferStorage>,
-    l1: &mut Cache,
-    constant_cache: &mut Cache,
-    image_pool: &mut Vec<Vec<BufferStorage>>,
-    refresh: &RefreshCounters,
-) -> Result<LaunchStats, LaunchError> {
-    let started = Instant::now();
-    let total = launch.grid.count();
-    let workers = pool::resolve_workers(launch.profile.parallelism)
-        .min(total)
-        .max(1);
-    let iterations = AtomicU64::new(0);
-    let eval_err = |source: EvalError| LaunchError::Eval {
-        kernel: launch.kernel.name.clone(),
-        source,
-    };
-
-    // Per-block cache snapshots start from the launch-entry state with
-    // counters zeroed, so each block's counters are pure deltas.
-    let entry_l1 = (l1.hits(), l1.misses());
-    let entry_cc = (constant_cache.hits(), constant_cache.misses());
-    let mut l1_template = l1.clone();
-    l1_template.reset_counters();
-    let mut cc_template = constant_cache.clone();
-    cc_template.reset_counters();
-
-    let mut outcomes: Vec<BlockOutcome> = Vec::with_capacity(total);
-    if workers == 1 {
-        // Serial path: interpret directly against the device's buffers.
-        // Isolation (log + revert per block, replay below) is still applied
-        // for multi-block launches so the observable semantics are
-        // identical to the parallel path.
-        let mut worker = Worker {
-            buffers,
-            log: Vec::new(),
-            scratch: ScratchPool::default(),
-            bc: crate::bytecode::BcScratch::default(),
-        };
-        for block_id in 0..total {
-            let outcome = worker
-                .run_block(
-                    launch,
-                    block_id,
-                    &l1_template,
-                    &cc_template,
-                    &iterations,
-                    total > 1,
-                )
-                .map_err(eval_err)?;
-            outcomes.push(outcome);
-        }
-    } else {
-        let queue = WorkQueue::new(total, workers);
-        let abort = AtomicBool::new(false);
-        let mut first_err: Option<(usize, EvalError)> = None;
-        // Per-worker buffer images come from the device's pool: a repeated
-        // launch (tuning sweep, serving loop) refreshes the retained
-        // images in place — `BufferStorage::clone_from` reuses the heap
-        // blocks — instead of cloning the arena per worker per launch.
-        if image_pool.len() < workers {
-            image_pool.resize_with(workers, Vec::new);
-        }
-        {
-            let buffers_src: &Vec<BufferStorage> = buffers;
-            let (l1_t, cc_t) = (&l1_template, &cc_template);
-            let (queue_ref, abort_ref, iters_ref) = (&queue, &abort, &iterations);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = image_pool[..workers]
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, image)| {
-                        s.spawn(move || {
-                            refresh_image(image, buffers_src, launch.overwritten, refresh);
-                            let mut worker = Worker {
-                                buffers: image,
-                                log: Vec::new(),
-                                scratch: ScratchPool::default(),
-                                bc: crate::bytecode::BcScratch::default(),
-                            };
-                            let mut done = Vec::new();
-                            let mut err = None;
-                            while let Some(block_id) = queue_ref.pop(w) {
-                                if abort_ref.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                match worker
-                                    .run_block(launch, block_id, l1_t, cc_t, iters_ref, true)
-                                {
-                                    Ok(outcome) => done.push(outcome),
-                                    Err(e) => {
-                                        err = Some((block_id, e));
-                                        abort_ref.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                            }
-                            (done, err)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    let (done, err) = handle.join().expect("executor worker panicked");
-                    outcomes.extend(done);
-                    if let Some((block_id, e)) = err {
-                        // Deterministic-ish selection: report the failure
-                        // with the lowest block id among those observed.
-                        if first_err.as_ref().is_none_or(|(b, _)| block_id < *b) {
-                            first_err = Some((block_id, e));
-                        }
-                    }
+    /// Run the blocks `next` hands out — global indices over every
+    /// segment's blocks, mapped back through the segment start offsets —
+    /// until it runs dry, `abort` is raised, or a block fails (which
+    /// raises `abort` for the other workers).
+    fn drain(
+        &mut self,
+        dispatch: &Dispatch<'_, '_>,
+        mut next: impl FnMut() -> Option<usize>,
+        abort: &AtomicBool,
+        isolate_all: bool,
+    ) -> (Vec<(usize, BlockOutcome)>, Option<BlockError>) {
+        let mut done = Vec::new();
+        while let Some(global) = next() {
+            if abort.load(Ordering::Relaxed) {
+                break;
+            }
+            let si = dispatch.starts.partition_point(|&s| s <= global) - 1;
+            let segment = &dispatch.segments[si];
+            let block_id = global - dispatch.starts[si];
+            let isolate = isolate_all || segment.launch.grid.count() > 1;
+            match self.run_block(segment, block_id, &dispatch.iterations[si], isolate) {
+                Ok(outcome) => done.push((si, outcome)),
+                Err(e) => {
+                    abort.store(true, Ordering::Relaxed);
+                    return (done, Some((si, block_id, e)));
                 }
-            });
+            }
         }
-        if let Some((_, source)) = first_err {
-            return Err(eval_err(source));
-        }
-        outcomes.sort_by_key(|o| o.block);
+        (done, None)
     }
-    debug_assert_eq!(outcomes.len(), total);
-
-    // Deterministic fold: stats and write logs in ascending block order.
-    let mut stats = LaunchStats::default();
-    for outcome in &outcomes {
-        stats += outcome.stats;
-    }
-    for outcome in &outcomes {
-        replay_writes(buffers, &outcome.log).map_err(eval_err)?;
-    }
-    if let Some(last) = outcomes.pop() {
-        *l1 = last.l1;
-        *constant_cache = last.constant_cache;
-    }
-    l1.set_counters(entry_l1.0 + stats.l1_hits, entry_l1.1 + stats.l1_misses);
-    constant_cache.set_counters(
-        entry_cc.0 + stats.const_hits,
-        entry_cc.1 + stats.const_misses,
-    );
-
-    stats.workers = workers as u64;
-    stats.wall_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Ok(stats)
 }
 
-/// One segment of a fused multi-launch: an independent launch plus the
-/// simulated cache state it enters with. Segments must touch disjoint
+/// One segment of a dispatch: an independent launch plus the simulated
+/// caches it enters with and leaves with. A standalone launch is a
+/// dispatch of one segment over the device's own caches; a fused batch
+/// gives every job a private cache pair. Segments must touch disjoint
 /// buffers (each serving request allocates its own); their simulated
 /// address spaces may overlap freely because every segment carries
 /// private caches.
 pub(crate) struct FusedSegment<'a> {
     pub launch: Launch<'a>,
-    pub l1: Cache,
-    pub constant_cache: Cache,
+    pub l1: &'a mut Cache,
+    pub constant_cache: &'a mut Cache,
 }
 
-/// What one fused segment finished with: its summed stats and exit
-/// caches (counters advanced past the entry values, exactly as
-/// [`run_launch`] leaves the device caches).
-pub(crate) struct SegmentOutcome {
-    pub stats: LaunchStats,
-    pub l1: Cache,
-    pub constant_cache: Cache,
+/// Read-only view of a dispatch shared by every worker.
+struct Dispatch<'s, 'a> {
+    segments: &'s [FusedSegment<'a>],
+    /// Global index of each segment's first block.
+    starts: Vec<usize>,
+    /// Per-segment loop-iteration budgets, charged like standalone
+    /// launches.
+    iterations: Vec<AtomicU64>,
 }
 
-/// Execute several independent launches as one fused dispatch over a
-/// single worker pool.
+fn eval_error(launch: &Launch<'_>, source: EvalError) -> LaunchError {
+    LaunchError::Eval {
+        kernel: launch.kernel.name.clone(),
+        source,
+    }
+}
+
+/// Execute one or more independent launches as one dispatch over a single
+/// worker pool: serially, or across host workers sharing one work queue
+/// that spans every segment's blocks. Every launch of the device runs
+/// here — a standalone launch is a dispatch of one segment.
 ///
-/// Semantically this is exactly `for segment { run_launch(segment) }` —
-/// every segment's buffer contents, simulated cycles, and cache
-/// statistics are bit-identical to running it alone — but the host cost
-/// is paid once per *batch*: one scope of pooled workers, one shared
-/// work queue spanning every segment's blocks, and one arena clone per
-/// worker (instead of per launch).
-///
-/// Determinism follows the [`run_launch`] argument segment-wise: each
+/// Each segment's buffer contents, simulated cycles, and cache statistics
+/// are bit-identical to dispatching it alone, at any worker count: each
 /// block is a pure function of its segment's entry state, and folding
 /// (stats, write replay, exit caches) happens per segment in ascending
-/// `(segment, block)` order. The iteration budget stays per-segment so a
-/// runaway kernel is charged like it would be alone.
+/// `(segment, block)` order. A segment's exit caches are its *last*
+/// block's final state — a deterministic choice that keeps caches warm
+/// across launches — with counters advanced by the summed per-block
+/// deltas; they are written back into the segment's cache references.
+/// Parallel workers refresh their pooled buffer images once per dispatch,
+/// skipping buffers any segment declared input-overwritten.
+///
+/// Returns each segment's stats, in order. On error no segment's caches
+/// change.
 pub(crate) fn run_fused(
-    segments: Vec<FusedSegment<'_>>,
+    segments: &mut [FusedSegment<'_>],
     buffers: &mut Vec<BufferStorage>,
     image_pool: &mut Vec<Vec<BufferStorage>>,
-) -> Result<Vec<SegmentOutcome>, LaunchError> {
+    refresh: &RefreshCounters,
+) -> Result<Vec<LaunchStats>, LaunchError> {
     let started = Instant::now();
-    struct Seg<'a> {
-        launch: Launch<'a>,
-        l1_template: Cache,
-        cc_template: Cache,
-        entry_l1: (u64, u64),
-        entry_cc: (u64, u64),
-        start: usize,
-        iterations: AtomicU64,
-    }
-    let mut segs: Vec<Seg<'_>> = Vec::with_capacity(segments.len());
-    let mut total = 0usize;
-    for fs in segments {
-        let FusedSegment {
-            launch,
-            mut l1,
-            mut constant_cache,
-        } = fs;
-        let entry_l1 = (l1.hits(), l1.misses());
-        let entry_cc = (constant_cache.hits(), constant_cache.misses());
-        l1.reset_counters();
-        constant_cache.reset_counters();
-        let start = total;
-        total += launch.grid.count();
-        segs.push(Seg {
-            launch,
-            l1_template: l1,
-            cc_template: constant_cache,
-            entry_l1,
-            entry_cc,
-            start,
-            iterations: AtomicU64::new(0),
-        });
-    }
-    if segs.is_empty() {
+    let Some(first) = segments.first() else {
         return Ok(Vec::new());
+    };
+    let mut starts = Vec::with_capacity(segments.len());
+    let mut total = 0usize;
+    for segment in segments.iter() {
+        starts.push(total);
+        total += segment.launch.grid.count();
     }
-    let workers = pool::resolve_workers(segs[0].launch.profile.parallelism)
-        .min(total)
-        .max(1);
-    let eval_err = |seg: &Seg<'_>, source: EvalError| LaunchError::Eval {
-        kernel: seg.launch.kernel.name.clone(),
-        source,
+    let workers = first.launch.profile.parallelism.min(total).max(1);
+    let dispatch = Dispatch {
+        iterations: segments.iter().map(|_| AtomicU64::new(0)).collect(),
+        segments: &*segments,
+        starts,
     };
-    // Fold one segment's sorted outcomes exactly like run_launch folds a
-    // whole launch.
-    let fold = |seg: &Seg<'_>,
-                outcomes: Vec<BlockOutcome>,
-                buffers: &mut Vec<BufferStorage>|
-     -> Result<SegmentOutcome, LaunchError> {
-        let mut stats = LaunchStats::default();
-        for outcome in &outcomes {
-            stats += outcome.stats;
-        }
-        let mut outcomes = outcomes;
-        for outcome in &outcomes {
-            replay_writes(buffers, &outcome.log).map_err(|e| eval_err(seg, e))?;
-        }
-        let last = outcomes.pop().expect("segment has at least one block");
-        let mut l1 = last.l1;
-        let mut constant_cache = last.constant_cache;
-        l1.set_counters(
-            seg.entry_l1.0 + stats.l1_hits,
-            seg.entry_l1.1 + stats.l1_misses,
-        );
-        constant_cache.set_counters(
-            seg.entry_cc.0 + stats.const_hits,
-            seg.entry_cc.1 + stats.const_misses,
-        );
-        stats.workers = workers as u64;
-        Ok(SegmentOutcome {
-            stats,
-            l1,
-            constant_cache,
-        })
-    };
+    let abort = AtomicBool::new(false);
 
-    let mut results: Vec<SegmentOutcome> = Vec::with_capacity(segs.len());
+    let mut exits = Vec::with_capacity(segments.len());
     if workers == 1 {
-        // Serial path: segments run back-to-back against the device's
-        // buffers, each with the same isolation rules run_launch applies.
-        let mut worker = Worker {
-            buffers,
-            log: Vec::new(),
-            scratch: ScratchPool::default(),
-            bc: crate::bytecode::BcScratch::default(),
-        };
-        for seg in &segs {
-            let blocks = seg.launch.grid.count();
-            let mut outcomes = Vec::with_capacity(blocks);
-            for block_id in 0..blocks {
-                let outcome = worker
-                    .run_block(
-                        &seg.launch,
-                        block_id,
-                        &seg.l1_template,
-                        &seg.cc_template,
-                        &seg.iterations,
-                        blocks > 1,
-                    )
-                    .map_err(|e| eval_err(seg, e))?;
-                outcomes.push(outcome);
+        // Serial path: interpret directly against the device's buffers,
+        // folding each segment before the next runs. Isolation (log +
+        // revert per block, replay in the fold) is still applied for
+        // multi-block segments so the observable semantics are identical
+        // to the parallel path.
+        let mut worker = Worker::new(buffers);
+        for (si, segment) in dispatch.segments.iter().enumerate() {
+            let start = dispatch.starts[si];
+            let mut next = start..start + segment.launch.grid.count();
+            let (done, err) = worker.drain(&dispatch, || next.next(), &abort, false);
+            if let Some((_, _, source)) = err {
+                return Err(eval_error(&segment.launch, source));
             }
-            results.push(fold(seg, outcomes, &mut *worker.buffers)?);
+            let blocks = done.into_iter().map(|(_, outcome)| outcome);
+            exits.push(fold(segment, blocks, worker.buffers)?);
         }
     } else {
-        // Parallel path: one shared queue over every segment's blocks; a
-        // global index maps back to (segment, local block) through the
-        // segment start offsets.
         let queue = WorkQueue::new(total, workers);
-        let abort = AtomicBool::new(false);
-        let mut first_err: Option<(usize, usize, EvalError)> = None;
-        let mut tagged: Vec<(usize, BlockOutcome)> = Vec::with_capacity(total);
+        // Per-worker buffer images come from the device's pool: a repeated
+        // dispatch (tuning sweep, serving loop) refreshes the retained
+        // images in place instead of cloning the arena per worker.
         if image_pool.len() < workers {
             image_pool.resize_with(workers, Vec::new);
         }
-        {
-            let buffers_src: &Vec<BufferStorage> = buffers;
-            let segs_ref = &segs;
-            let (queue_ref, abort_ref) = (&queue, &abort);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = image_pool[..workers]
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(w, image)| {
-                        s.spawn(move || {
-                            image.clone_from(buffers_src);
-                            let mut worker = Worker {
-                                buffers: image,
-                                log: Vec::new(),
-                                scratch: ScratchPool::default(),
-                                bc: crate::bytecode::BcScratch::default(),
-                            };
-                            let mut done = Vec::new();
-                            let mut err = None;
-                            while let Some(global) = queue_ref.pop(w) {
-                                if abort_ref.load(Ordering::Relaxed) {
-                                    break;
-                                }
-                                let si = segs_ref.partition_point(|s| s.start <= global) - 1;
-                                let seg = &segs_ref[si];
-                                let block_id = global - seg.start;
-                                match worker.run_block(
-                                    &seg.launch,
-                                    block_id,
-                                    &seg.l1_template,
-                                    &seg.cc_template,
-                                    &seg.iterations,
-                                    true,
-                                ) {
-                                    Ok(outcome) => done.push((si, outcome)),
-                                    Err(e) => {
-                                        err = Some((si, block_id, e));
-                                        abort_ref.store(true, Ordering::Relaxed);
-                                        break;
-                                    }
-                                }
-                            }
-                            (done, err)
-                        })
+        let overwritten: Vec<usize> = dispatch
+            .segments
+            .iter()
+            .flat_map(|s| s.launch.overwritten.iter().copied())
+            .collect();
+        let mut tagged = Vec::with_capacity(total);
+        let mut first_err: Option<BlockError> = None;
+        let buffers_src: &Vec<BufferStorage> = buffers;
+        let (dispatch_ref, queue_ref, abort_ref) = (&dispatch, &queue, &abort);
+        let overwritten = &overwritten[..];
+        std::thread::scope(|s| {
+            let handles: Vec<_> = image_pool[..workers]
+                .iter_mut()
+                .enumerate()
+                .map(|(w, image)| {
+                    s.spawn(move || {
+                        refresh_image(image, buffers_src, overwritten, refresh);
+                        Worker::new(image).drain(dispatch_ref, || queue_ref.pop(w), abort_ref, true)
                     })
-                    .collect();
-                for handle in handles {
-                    let (done, err) = handle.join().expect("executor worker panicked");
-                    tagged.extend(done);
-                    if let Some((si, block_id, e)) = err {
-                        // Deterministic-ish selection: lowest (segment,
-                        // block) among observed failures.
-                        if first_err
-                            .as_ref()
-                            .is_none_or(|(s0, b0, _)| (si, block_id) < (*s0, *b0))
-                        {
-                            first_err = Some((si, block_id, e));
-                        }
+                })
+                .collect();
+            for handle in handles {
+                let (done, err) = handle.join().expect("executor worker panicked");
+                tagged.extend(done);
+                // Deterministic-ish selection: report the failure with the
+                // lowest (segment, block) among those observed.
+                if let Some(e) = err {
+                    if first_err.as_ref().is_none_or(|f| (e.0, e.1) < (f.0, f.1)) {
+                        first_err = Some(e);
                     }
                 }
-            });
-        }
-        if let Some((si, _, source)) = first_err {
-            return Err(eval_err(&segs[si], source));
-        }
-        tagged.sort_by_key(|(si, o)| (*si, o.block));
-        debug_assert_eq!(tagged.len(), total);
-        let mut iter = tagged.into_iter().peekable();
-        for (si, seg) in segs.iter().enumerate() {
-            let mut outcomes = Vec::with_capacity(seg.launch.grid.count());
-            while iter.peek().is_some_and(|(s, _)| *s == si) {
-                outcomes.push(iter.next().expect("peeked").1);
             }
-            results.push(fold(seg, outcomes, &mut *buffers)?);
+        });
+        if let Some((si, _, source)) = first_err {
+            return Err(eval_error(&segments[si].launch, source));
+        }
+        debug_assert_eq!(tagged.len(), total);
+        tagged.sort_by_key(|(si, o): &(usize, BlockOutcome)| (*si, o.block));
+        let mut outcomes = tagged.into_iter().peekable();
+        for (si, segment) in dispatch.segments.iter().enumerate() {
+            let blocks = std::iter::from_fn(|| outcomes.next_if(|(s, _)| *s == si).map(|(_, o)| o));
+            exits.push(fold(segment, blocks, buffers)?);
         }
     }
+
     let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    for r in &mut results {
-        r.stats.wall_nanos = wall;
+    let mut results = Vec::with_capacity(segments.len());
+    for (segment, (mut stats, l1, constant_cache)) in segments.iter_mut().zip(exits) {
+        *segment.l1 = l1;
+        *segment.constant_cache = constant_cache;
+        stats.workers = workers as u64;
+        stats.wall_nanos = wall;
+        results.push(stats);
     }
     Ok(results)
+}
+
+/// Fold one segment's block outcomes, given in ascending block order:
+/// sum the stats, replay the write logs into `buffers`, and return the
+/// stats with the exit caches — the last block's final caches, counters
+/// advanced from the segment's entry counters by the summed deltas.
+fn fold(
+    segment: &FusedSegment<'_>,
+    outcomes: impl Iterator<Item = BlockOutcome>,
+    buffers: &mut [BufferStorage],
+) -> Result<(LaunchStats, Cache, Cache), LaunchError> {
+    let mut stats = LaunchStats::default();
+    let mut last = None;
+    for outcome in outcomes {
+        stats += outcome.stats;
+        replay_writes(buffers, &outcome.log).map_err(|e| eval_error(&segment.launch, e))?;
+        last = Some(outcome);
+    }
+    let last = last.expect("every segment has at least one block");
+    let (mut l1, mut constant_cache) = (last.l1, last.constant_cache);
+    l1.set_counters(
+        segment.l1.hits() + stats.l1_hits,
+        segment.l1.misses() + stats.l1_misses,
+    );
+    constant_cache.set_counters(
+        segment.constant_cache.hits() + stats.const_hits,
+        segment.constant_cache.misses() + stats.const_misses,
+    );
+    Ok((stats, l1, constant_cache))
 }
 
 /// Flip one bit of a scalar's 32-bit representation. Booleans carry a

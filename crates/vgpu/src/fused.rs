@@ -6,16 +6,15 @@
 //! stage by stage — stage *s* fuses the *s*-th launch of every job that
 //! has one into a single multi-segment dispatch ([`crate::exec`]'s fused
 //! runner) — so the per-launch host overhead (launch validation,
-//! program-cache lookup, worker-scope setup, per-worker arena clone) is
-//! paid once per batch stage instead of once per request.
+//! program-cache lookup, worker-scope setup, per-worker image refresh) is
+//! paid once per batch stage instead of once per request. A single
+//! request is a batch of one job.
 //!
 //! # Bit-identity contract
 //!
 //! Each job's [`PipelineRun`] — outputs, simulated cycles, cache
 //! statistics — is bit-identical to running `job.pipeline.execute(...)`
-//! alone on this device right after a cache flush (the serving loop's
-//! steady state: [`crate::Device::reclaim_buffers`] flushes between
-//! requests). That holds because:
+//! alone on this device right after a cache flush. That holds because:
 //!
 //! * every job allocates its buffers through a *private* address counter
 //!   seeded from the device's current high-water mark, so each job sees
@@ -27,12 +26,10 @@
 //!   the job buffers are reclaimed before returning, so the device ends
 //!   the call exactly as it entered it.
 
-use std::collections::HashSet;
-
 use paraprox_ir::Program;
 
 use crate::cache::Cache;
-use crate::device::{ArgValue, Device, ProgramHandle};
+use crate::device::{ArgValue, Artifact, BufferId, Device};
 use crate::error::LaunchError;
 use crate::exec::{self, FusedSegment, Launch};
 use crate::plan::{Pipeline, PipelineRun, PlanArg};
@@ -49,12 +46,22 @@ pub struct FusedJob<'a> {
     pub pipeline: &'a Pipeline,
 }
 
+/// One job's state across its stages: its buffers and the private cold
+/// cache pair its launches thread through (stage *s+1* enters with the
+/// job's stage-*s* exit caches).
+struct JobState {
+    ids: Vec<BufferId>,
+    l1: Cache,
+    constant_cache: Cache,
+    stats: LaunchStats,
+}
+
+/// One job's launch in the current stage, validated, with its arguments
+/// bound and its artifact picked.
 struct SegmentPrep {
     job: usize,
-    stage: usize,
     args: Vec<ArgValue>,
-    handle: Option<ProgramHandle>,
-    profiling: bool,
+    artifact: Artifact,
 }
 
 /// Execute `jobs` as one fused batch; returns one [`PipelineRun`] per job,
@@ -83,11 +90,10 @@ fn execute_fused_inner(
     jobs: &[FusedJob<'_>],
     entry_addr: u64,
 ) -> Result<Vec<PipelineRun>, LaunchError> {
-    if jobs.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Allocate every job's buffers in its own address space.
-    let mut job_ids: Vec<Vec<crate::device::BufferId>> = Vec::with_capacity(jobs.len());
+    // Allocate every job's buffers in its own address space, with a cold
+    // cache pair of its own.
+    let cache_cfg = device.profile.cache;
+    let mut states: Vec<JobState> = Vec::with_capacity(jobs.len());
     for job in jobs {
         let mut next = entry_addr;
         let mut ids = Vec::with_capacity(job.pipeline.buffers.len());
@@ -95,14 +101,13 @@ fn execute_fused_inner(
             let data = spec.init_scalars()?;
             ids.push(device.alloc_scalars_at(spec.space, spec.ty, data, &mut next));
         }
-        job_ids.push(ids);
+        states.push(JobState {
+            ids,
+            l1: Cache::new(cache_cfg.l1),
+            constant_cache: Cache::new(cache_cfg.constant),
+            stats: LaunchStats::default(),
+        });
     }
-    // Per-job cold cache chains.
-    let cache_cfg = device.profile.cache;
-    let mut caches: Vec<(Cache, Cache)> = (0..jobs.len())
-        .map(|_| (Cache::new(cache_cfg.l1), Cache::new(cache_cfg.constant)))
-        .collect();
-    let mut job_stats: Vec<LaunchStats> = vec![LaunchStats::default(); jobs.len()];
 
     let max_stages = jobs
         .iter()
@@ -110,12 +115,12 @@ fn execute_fused_inner(
         .max()
         .unwrap_or(0);
     for stage in 0..max_stages {
-        // Validate, resolve arguments, and pick artifacts for every job
+        // Validate, bind arguments, and pick artifacts for every job
         // participating in this stage. Consecutive jobs over the same
         // program and kernel (the common batch shape) reuse the previous
-        // handle instead of re-hashing the kernel in the program cache.
+        // artifact instead of re-hashing the kernel in the program cache.
         let mut preps: Vec<SegmentPrep> = Vec::with_capacity(jobs.len());
-        for (ji, job) in jobs.iter().enumerate() {
+        for (ji, (job, state)) in jobs.iter().zip(&states).enumerate() {
             let Some(lp) = job.pipeline.launches.get(stage) else {
                 continue;
             };
@@ -124,45 +129,37 @@ fn execute_fused_inner(
                 .args
                 .iter()
                 .map(|a| match a {
-                    PlanArg::Buffer(slot) => ArgValue::Buffer(job_ids[ji][*slot]),
+                    PlanArg::Buffer(slot) => ArgValue::Buffer(state.ids[*slot]),
                     PlanArg::Scalar(s) => ArgValue::Scalar(*s),
                 })
                 .collect();
             device.validate_launch(k, lp.grid, lp.block, &args)?;
-            let handle = match preps.last() {
+            let artifact = match preps.last() {
                 Some(prev)
-                    if prev.stage == stage
-                        && std::ptr::eq(jobs[prev.job].program, job.program)
+                    if std::ptr::eq(jobs[prev.job].program, job.program)
                         && jobs[prev.job].pipeline.launches[stage].kernel == lp.kernel =>
                 {
-                    prev.handle.clone()
+                    prev.artifact.clone()
                 }
-                _ => device.program_handle(job.program, k),
+                _ => device.artifact(job.program, k),
             };
-            let profiling = matches!(&handle, Some(h) if device.fusion && h.fused.is_none());
             preps.push(SegmentPrep {
                 job: ji,
-                stage,
                 args,
-                handle,
-                profiling,
+                artifact,
             });
         }
-        // Build the fused segments (launch views borrowing the preps) and
-        // dispatch them as one batch.
-        let segments: Vec<FusedSegment<'_>> = preps
+        // Build the segments (launch views borrowing the preps, caches
+        // borrowing the job states) and dispatch them as one batch.
+        let mut job_states = states.iter_mut().enumerate();
+        let mut segments: Vec<FusedSegment<'_>> = preps
             .iter()
             .map(|p| {
+                let (_, state) = job_states
+                    .find(|(ji, _)| *ji == p.job)
+                    .expect("preps are in job order");
                 let job = &jobs[p.job];
                 let lp = &job.pipeline.launches[stage];
-                let compiled = match &p.handle {
-                    Some(h) if !device.fusion => Some(&*h.compiled),
-                    Some(h) => match &h.fused {
-                        Some(f) => Some(&**f),
-                        None => Some(&*h.compiled),
-                    },
-                    None => None,
-                };
                 FusedSegment {
                     launch: Launch {
                         profile: &device.profile,
@@ -171,47 +168,40 @@ fn execute_fused_inner(
                         args: &p.args,
                         grid: lp.grid,
                         block: lp.block,
-                        compiled,
+                        compiled: p.artifact.compiled(),
                         schedule_seed: device.schedule_seed,
-                        profile_counts: match (&p.handle, p.profiling) {
-                            (Some(h), true) => Some(&h.counts[..]),
-                            _ => None,
-                        },
+                        profile_counts: p.artifact.profile_counts(),
                         approx_threshold: exec::approx_threshold(device.approx_rate),
                         approx_seed: device.approx_seed,
                         overwritten: &[],
                     },
-                    l1: caches[p.job].0.clone(),
-                    constant_cache: caches[p.job].1.clone(),
+                    l1: &mut state.l1,
+                    constant_cache: &mut state.constant_cache,
                 }
             })
             .collect();
-        let outcomes = exec::run_fused(segments, &mut device.buffers, &mut device.image_pool)?;
-        // Fold each segment's outcome back onto its job, then build any
-        // freshly profiled fusion artifacts (once per cache entry).
-        let mut fused_done: HashSet<(u64, usize)> = HashSet::new();
-        for (p, outcome) in preps.iter().zip(outcomes) {
-            job_stats[p.job] += outcome.stats;
-            caches[p.job] = (outcome.l1, outcome.constant_cache);
-            if p.profiling {
-                if let Some(h) = &p.handle {
-                    if fused_done.insert(h.entry_id()) {
-                        device.store_fused_from_counts(h);
-                    }
-                }
-            }
+        let stats = exec::run_fused(
+            &mut segments,
+            &mut device.buffers,
+            &mut device.image_pool,
+            &device.refresh,
+        )?;
+        drop(segments);
+        for (p, s) in preps.iter().zip(stats) {
+            states[p.job].stats += s;
         }
+        device.store_profiled(preps.iter().map(|p| &p.artifact));
     }
 
     let mut runs = Vec::with_capacity(jobs.len());
-    for (ji, job) in jobs.iter().enumerate() {
+    for (job, state) in jobs.iter().zip(&states) {
         let mut outputs = Vec::with_capacity(job.pipeline.outputs.len());
         for &slot in &job.pipeline.outputs {
-            let scalars = device.read_scalars(job_ids[ji][slot])?;
+            let scalars = device.read_scalars(state.ids[slot])?;
             outputs.push(scalars.iter().map(|s| s.to_f64_lossy()).collect());
         }
         runs.push(PipelineRun {
-            stats: job_stats[ji],
+            stats: state.stats,
             outputs,
         });
     }
@@ -346,6 +336,28 @@ mod tests {
         let second = execute_fused(&mut d, &jobs).expect("second batch");
         assert_eq!(first[0].stats, second[0].stats);
         assert_eq!(first[0].outputs, second[0].outputs);
+    }
+
+    #[test]
+    fn fused_batch_counts_worker_image_refreshes() {
+        let (program, base) = two_stage(inputs(0));
+        let mut d = device(2, None);
+        let jobs = [
+            FusedJob {
+                program: &program,
+                pipeline: &base,
+            },
+            FusedJob {
+                program: &program,
+                pipeline: &base,
+            },
+        ];
+        execute_fused(&mut d, &jobs).expect("fused batch");
+        // Each of the two stages refreshes both workers' images from an
+        // arena holding the two jobs' buffers; nothing is declared
+        // input-overwritten, so nothing is skipped.
+        assert_eq!(d.image_refresh_copies(), 2 * 2 * 2);
+        assert_eq!(d.image_refresh_skips(), 0);
     }
 
     #[test]

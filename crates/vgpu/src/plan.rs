@@ -58,9 +58,9 @@ pub struct BufferSpec {
 
 impl BufferSpec {
     /// Materialize the initial contents as scalars, enforcing that a data
-    /// init's element type matches the declared buffer type — the same
-    /// checks [`Pipeline::execute`] applies, shared with the fused batch
-    /// executor.
+    /// init's element type matches the declared buffer type. Both
+    /// [`Pipeline::execute`] and the fused batch executor allocate through
+    /// this.
     pub(crate) fn init_scalars(&self) -> Result<Vec<Scalar>, LaunchError> {
         match &self.init {
             BufferInit::Zeroed(n) => Ok(vec![Scalar::zero(self.ty); *n]),
@@ -225,37 +225,8 @@ impl Pipeline {
     ) -> Result<PipelineRun, LaunchError> {
         let mut ids = Vec::with_capacity(self.buffers.len());
         for spec in &self.buffers {
-            let id = match &spec.init {
-                BufferInit::Zeroed(n) => device.alloc_zeroed(spec.space, spec.ty, *n),
-                BufferInit::F32(data) => {
-                    if spec.ty != Ty::F32 {
-                        return Err(LaunchError::BufferTypeMismatch {
-                            expected: spec.ty,
-                            found: Ty::F32,
-                        });
-                    }
-                    device.alloc_f32(spec.space, data)
-                }
-                BufferInit::I32(data) => {
-                    if spec.ty != Ty::I32 {
-                        return Err(LaunchError::BufferTypeMismatch {
-                            expected: spec.ty,
-                            found: Ty::I32,
-                        });
-                    }
-                    device.alloc_i32(spec.space, data)
-                }
-                BufferInit::U32(data) => {
-                    if spec.ty != Ty::U32 {
-                        return Err(LaunchError::BufferTypeMismatch {
-                            expected: spec.ty,
-                            found: Ty::U32,
-                        });
-                    }
-                    device.alloc_u32(spec.space, data)
-                }
-            };
-            ids.push(id);
+            let data = spec.init_scalars()?;
+            ids.push(device.alloc_scalars(spec.space, spec.ty, data));
         }
         let mut stats = LaunchStats::default();
         for launch in &self.launches {

@@ -117,25 +117,6 @@ pub(crate) fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolve the worker count for a launch: the `PARAPROX_THREADS`
-/// environment variable (if set to a positive integer) overrides the
-/// profile's `parallelism` knob; `0` in either place means "all available
-/// cores".
-pub(crate) fn resolve_workers(profile_parallelism: usize) -> usize {
-    if let Ok(v) = std::env::var("PARAPROX_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    if profile_parallelism > 0 {
-        profile_parallelism
-    } else {
-        default_parallelism()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -201,13 +182,7 @@ mod tests {
     }
 
     #[test]
-    fn resolver_prefers_env_then_profile_then_cores() {
-        // The env var is global process state; tests elsewhere must not set
-        // it, so only exercise the profile/default fallbacks here.
-        if std::env::var("PARAPROX_THREADS").is_err() {
-            assert_eq!(resolve_workers(3), 3);
-            assert_eq!(resolve_workers(0), default_parallelism());
-        }
+    fn default_parallelism_is_positive() {
         assert!(default_parallelism() >= 1);
     }
 }

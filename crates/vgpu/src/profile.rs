@@ -32,21 +32,6 @@ pub enum ExecEngine {
     TreeWalk,
 }
 
-/// Resolve the engine for a launch: the `PARAPROX_ENGINE` environment
-/// variable (`bytecode` or `tree`/`treewalk`/`tree-walk`, case-insensitive)
-/// overrides the profile's [`DeviceProfile::engine`] knob; unrecognized
-/// values are ignored.
-pub(crate) fn resolve_engine(profile_engine: ExecEngine) -> ExecEngine {
-    if let Ok(v) = std::env::var("PARAPROX_ENGINE") {
-        match v.trim().to_ascii_lowercase().as_str() {
-            "bytecode" => return ExecEngine::Bytecode,
-            "tree" | "treewalk" | "tree-walk" => return ExecEngine::TreeWalk,
-            _ => {}
-        }
-    }
-    profile_engine
-}
-
 /// Machine parameters and per-instruction latencies for a simulated device.
 ///
 /// The two stock profiles, [`DeviceProfile::gtx560`] and
@@ -129,13 +114,15 @@ pub struct DeviceProfile {
     pub shared_mem_bytes: usize,
     /// Host worker threads used to execute independent blocks concurrently.
     /// `0` means "all available cores"; `1` forces serial execution. The
-    /// `PARAPROX_THREADS` environment variable overrides this knob. Results
+    /// `PARAPROX_THREADS` environment variable, read when a
+    /// [`crate::Device`] is created, overrides this knob. Results
     /// are bit-identical for every setting — this only affects wall-clock
     /// time, never simulated cycles.
     pub parallelism: usize,
     /// Which interpreter executes launches (bytecode by default; the
     /// tree-walking oracle for differential testing). The
-    /// `PARAPROX_ENGINE` environment variable overrides this knob. Results
+    /// `PARAPROX_ENGINE` environment variable, read when a
+    /// [`crate::Device`] is created, overrides this knob. Results
     /// are bit-identical for either engine.
     pub engine: ExecEngine,
 }

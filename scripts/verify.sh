@@ -31,6 +31,14 @@ cargo test --workspace -q
 echo "==> cargo clippy -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> perfbench build (the repository benchmark still compiles)"
+# perfbench/ is a separate Cargo workspace that uses the crates' public
+# APIs by path; building it here means narrowing a public API cannot
+# silently break the benchmark. It shares perfbench/run.py's build
+# directory, so the benchmark's cache is reused.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml \
+  --target-dir "${CARGO_TARGET_DIR:-.bench_build}"
+
 echo "==> paraprox-cli analyze smoke (13 apps, test scale, JSON partition gate)"
 # Machine-readable pass over every app: the analyze command itself exits
 # non-zero on error-severity findings, and the JSON is additionally
