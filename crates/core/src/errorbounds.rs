@@ -328,12 +328,6 @@ fn variant_static_quality(
         // No declared outputs: nothing to bound, nothing to certify.
         abs_err = f64::INFINITY;
     }
-    if std::env::var_os("PARAPROX_ERRORPROP_DEBUG").is_some() {
-        eprintln!(
-            "errorprop: {} / {}: abs_err={abs_err:e} out=[{:e},{:e}]",
-            workload.name, variant.label, out_range.lo, out_range.hi
-        );
-    }
     to_static_quality(
         &variant.label,
         workload.metric,

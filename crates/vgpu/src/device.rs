@@ -254,6 +254,10 @@ pub struct Device {
     /// loop reuses the allocations instead of cloning the arena per
     /// launch (see [`Device::pooled_images`]).
     pub(crate) image_pool: Vec<Vec<BufferStorage>>,
+    /// Per-worker executor state (write log, block caches, interpreter
+    /// scratch), retained across launches so steady-state block execution
+    /// does not allocate.
+    pub(crate) worker_states: Vec<exec::WorkerState>,
     /// Probability in `[0, 1]` that a lane-load from a
     /// [`MemSpace::Approx`] buffer suffers a single-bit flip (see
     /// [`Device::set_approx_rate`]). 0.0 — the default — injects nothing.
@@ -293,6 +297,7 @@ impl Device {
             schedule_seed: None,
             fusion: fusion_from_env(),
             image_pool: Vec::new(),
+            worker_states: Vec::new(),
             approx_rate: 0.0,
             approx_seed: 0,
             refresh: exec::RefreshCounters::default(),
@@ -705,6 +710,7 @@ impl Device {
             &mut segment,
             &mut self.buffers,
             &mut self.image_pool,
+            &mut self.worker_states,
             &self.refresh,
         )?;
         self.store_profiled([&artifact]);

@@ -16,12 +16,13 @@
 //! including 1 — is achieved by making every block's execution a pure
 //! function of the launch-entry state:
 //!
-//! * **Caches**: each block simulates against a private clone of the
+//! * **Caches**: each block simulates against a private copy of the
 //!   launch-entry L1/constant cache (counters reset, so per-block hit/miss
 //!   deltas fold without double counting). After the launch the device
 //!   cache becomes the *last* block's final state — a deterministic choice
 //!   that keeps caches warm across launches — with counters advanced by
-//!   the summed per-block deltas.
+//!   the summed per-block deltas. The copy is the worker's spare cache
+//!   pair refilled in place, and only the last block keeps its pair.
 //! * **Global memory**: each worker interprets against its own buffer
 //!   image. Global writes are logged per block (stores record the value,
 //!   atomics record the operation) and the worker's image is reverted
@@ -43,6 +44,7 @@
 //! (exactly the serial loop, no threads spawned) and `parallelism = N`
 //! produce identical results.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -129,13 +131,19 @@ impl LaneSet for crate::soa::RegRow {
     }
 }
 
-/// Reusable lane vectors: the interpreter churns through short-lived
-/// per-statement vectors, so each worker keeps a small free list instead
-/// of hitting the allocator per expression. (Masks are packed bitsets now
-/// — one or two words for typical block sizes — and no longer pooled.)
+/// Per-worker reusable storage, so steady-state block execution does not
+/// allocate. The interpreter churns through short-lived per-statement lane
+/// vectors, so each worker keeps a small free list instead of hitting the
+/// allocator per expression. (Masks are packed bitsets now — one or two
+/// words for typical block sizes — and no longer pooled.)
 #[derive(Default)]
 pub(crate) struct ScratchPool {
     lanes: Vec<Lanes>,
+    /// The distinct words, lines or addresses of the warp access being
+    /// charged (coalescing, bank conflicts, constant broadcast).
+    keys: Vec<u64>,
+    /// The block's shared arrays, re-zeroed for every block.
+    shared: Vec<Vec<Scalar>>,
 }
 
 /// Cap on pooled vectors; beyond this they are simply dropped.
@@ -172,6 +180,28 @@ impl ScratchPool {
             self.lanes.push(v);
         }
     }
+}
+
+/// Collect the distinct keys `key(lane)` of one warp's active lanes into
+/// `keys`, in first-seen order. A warp has at most a few dozen lanes, so a
+/// linear scan beats hashing.
+fn warp_keys<I: LaneGet>(
+    keys: &mut Vec<u64>,
+    idx: &I,
+    mask: &Mask,
+    (start, end): (usize, usize),
+    key: impl Fn(i64) -> u64,
+) -> Result<(), EvalError> {
+    keys.clear();
+    for lane in start..end {
+        if mask.get(lane) {
+            let k = key(ExecCtx::index_to_i64(idx.lane(lane))?);
+            if !keys.contains(&k) {
+                keys.push(k);
+            }
+        }
+    }
+    Ok(())
 }
 
 /// One global-memory write performed by a block, recorded so the write can
@@ -360,34 +390,57 @@ pub(crate) fn approx_threshold(rate: f64) -> u64 {
 struct BlockOutcome {
     block: usize,
     stats: LaunchStats,
-    l1: Cache,
-    constant_cache: Cache,
-    log: Vec<LoggedWrite>,
+    /// The block's final `(l1, constant)` caches. Only a segment's last
+    /// block keeps them: the fold uses no other block's.
+    caches: Option<(Cache, Cache)>,
+    /// The block's global writes: this range of its worker's write log.
+    writes: Range<usize>,
 }
 
-/// Per-worker mutable state, reused across the blocks a worker executes.
-struct Worker<'a> {
-    buffers: &'a mut Vec<BufferStorage>,
+/// One host worker's executor state. The device keeps one per worker
+/// across dispatches, so repeated launches reuse every allocation in it.
+#[derive(Default)]
+pub(crate) struct WorkerState {
+    /// Every block's global writes in the current dispatch (or serial
+    /// segment), appended in execution order; each outcome records its
+    /// range.
     log: Vec<LoggedWrite>,
+    /// The current dispatch's finished blocks, tagged with their segment.
+    done: Vec<(usize, BlockOutcome)>,
+    /// Block-private `(l1, constant)` caches, refilled from each block's
+    /// segment entry caches. A segment's last block takes them with it;
+    /// the dispatch hands the segment's replaced caches back.
+    caches: Option<(Cache, Cache)>,
     scratch: ScratchPool,
     bc: crate::bytecode::BcScratch,
+}
+
+impl WorkerState {
+    /// Forget the previous dispatch's outcomes and writes.
+    fn reset(&mut self) {
+        self.log.clear();
+        self.done.clear();
+    }
+}
+
+impl std::fmt::Debug for WorkerState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WorkerState").finish_non_exhaustive()
+    }
+}
+
+/// A worker: its state plus the buffer image it interprets against.
+struct Worker<'a> {
+    buffers: &'a mut Vec<BufferStorage>,
+    state: &'a mut WorkerState,
 }
 
 /// A failed block: `(segment, block, error)`.
 type BlockError = (usize, usize, EvalError);
 
-impl<'a> Worker<'a> {
-    fn new(buffers: &'a mut Vec<BufferStorage>) -> Worker<'a> {
-        Worker {
-            buffers,
-            log: Vec::new(),
-            scratch: ScratchPool::default(),
-            bc: crate::bytecode::BcScratch::default(),
-        }
-    }
-
+impl Worker<'_> {
     /// Execute one block against this worker's buffer image, revert the
-    /// image, and package the outcome. The block simulates against clones
+    /// image, and package the outcome. The block simulates against copies
     /// of the segment's entry caches with counters zeroed, so its counters
     /// are pure deltas. `isolate` is false only for single-block segments
     /// on the serial path, where writes may land directly.
@@ -398,32 +451,48 @@ impl<'a> Worker<'a> {
         iterations: &AtomicU64,
         isolate: bool,
     ) -> Result<BlockOutcome, EvalError> {
-        let mut l1 = segment.l1.clone();
+        let WorkerState {
+            log,
+            caches,
+            scratch,
+            bc,
+            ..
+        } = &mut *self.state;
+        let (l1, constant_cache) = caches.get_or_insert_with(|| {
+            (
+                Cache::new(segment.l1.geometry()),
+                Cache::new(segment.constant_cache.geometry()),
+            )
+        });
+        l1.clone_from(segment.l1);
         l1.reset_counters();
-        let mut constant_cache = segment.constant_cache.clone();
+        constant_cache.clone_from(segment.constant_cache);
         constant_cache.reset_counters();
+        let start = log.len();
         let result = exec_block(
             &segment.launch,
             block_id,
             self.buffers,
-            isolate.then_some(&mut self.log),
+            isolate.then_some(&mut *log),
             l1,
             constant_cache,
             iterations,
-            &mut self.scratch,
-            &mut self.bc,
+            scratch,
+            bc,
         );
-        revert_writes(self.buffers, &self.log);
+        revert_writes(self.buffers, &log[start..]);
         match result {
-            Ok((stats, l1, constant_cache)) => Ok(BlockOutcome {
-                block: block_id,
-                stats,
-                l1,
-                constant_cache,
-                log: std::mem::take(&mut self.log),
-            }),
+            Ok(stats) => {
+                let last = block_id + 1 == segment.launch.grid.count();
+                Ok(BlockOutcome {
+                    block: block_id,
+                    stats,
+                    caches: if last { caches.take() } else { None },
+                    writes: start..log.len(),
+                })
+            }
             Err(e) => {
-                self.log.clear();
+                log.truncate(start);
                 Err(e)
             }
         }
@@ -431,16 +500,15 @@ impl<'a> Worker<'a> {
 
     /// Run the blocks `next` hands out — global indices over every
     /// segment's blocks, mapped back through the segment start offsets —
-    /// until it runs dry, `abort` is raised, or a block fails (which
-    /// raises `abort` for the other workers).
+    /// into the state's `done` list until it runs dry, `abort` is raised,
+    /// or a block fails (which raises `abort` for the other workers).
     fn drain(
         &mut self,
         dispatch: &Dispatch<'_, '_>,
         mut next: impl FnMut() -> Option<usize>,
         abort: &AtomicBool,
         isolate_all: bool,
-    ) -> (Vec<(usize, BlockOutcome)>, Option<BlockError>) {
-        let mut done = Vec::new();
+    ) -> Option<BlockError> {
         while let Some(global) = next() {
             if abort.load(Ordering::Relaxed) {
                 break;
@@ -450,14 +518,14 @@ impl<'a> Worker<'a> {
             let block_id = global - dispatch.starts[si];
             let isolate = isolate_all || segment.launch.grid.count() > 1;
             match self.run_block(segment, block_id, &dispatch.iterations[si], isolate) {
-                Ok(outcome) => done.push((si, outcome)),
+                Ok(outcome) => self.state.done.push((si, outcome)),
                 Err(e) => {
                     abort.store(true, Ordering::Relaxed);
-                    return (done, Some((si, block_id, e)));
+                    return Some((si, block_id, e));
                 }
             }
         }
-        (done, None)
+        None
     }
 }
 
@@ -505,7 +573,8 @@ fn eval_error(launch: &Launch<'_>, source: EvalError) -> LaunchError {
 /// across launches — with counters advanced by the summed per-block
 /// deltas; they are written back into the segment's cache references.
 /// Parallel workers refresh their pooled buffer images once per dispatch,
-/// skipping buffers any segment declared input-overwritten.
+/// skipping buffers any segment declared input-overwritten. Worker `w`
+/// runs on `states[w]`, which the caller keeps across dispatches.
 ///
 /// Returns each segment's stats, in order. On error no segment's caches
 /// change.
@@ -513,6 +582,7 @@ pub(crate) fn run_fused(
     segments: &mut [FusedSegment<'_>],
     buffers: &mut Vec<BufferStorage>,
     image_pool: &mut Vec<Vec<BufferStorage>>,
+    states: &mut Vec<WorkerState>,
     refresh: &RefreshCounters,
 ) -> Result<Vec<LaunchStats>, LaunchError> {
     let started = Instant::now();
@@ -532,6 +602,9 @@ pub(crate) fn run_fused(
         starts,
     };
     let abort = AtomicBool::new(false);
+    if states.len() < workers {
+        states.resize_with(workers, WorkerState::default);
+    }
 
     let mut exits = Vec::with_capacity(segments.len());
     if workers == 1 {
@@ -540,16 +613,24 @@ pub(crate) fn run_fused(
         // revert per block, replay in the fold) is still applied for
         // multi-block segments so the observable semantics are identical
         // to the parallel path.
-        let mut worker = Worker::new(buffers);
+        let mut worker = Worker {
+            buffers,
+            state: &mut states[0],
+        };
+        worker.state.reset();
         for (si, segment) in dispatch.segments.iter().enumerate() {
             let start = dispatch.starts[si];
             let mut next = start..start + segment.launch.grid.count();
-            let (done, err) = worker.drain(&dispatch, || next.next(), &abort, false);
-            if let Some((_, _, source)) = err {
+            if let Some((_, _, source)) = worker.drain(&dispatch, || next.next(), &abort, false) {
                 return Err(eval_error(&segment.launch, source));
             }
-            let blocks = done.into_iter().map(|(_, outcome)| outcome);
+            let WorkerState { log, done, .. } = &mut *worker.state;
+            let blocks = done.drain(..).map(|(_, o)| {
+                let writes = &log[o.writes.clone()];
+                (o, writes)
+            });
             exits.push(fold(segment, blocks, worker.buffers)?);
+            log.clear();
         }
     } else {
         let queue = WorkQueue::new(total, workers);
@@ -564,6 +645,8 @@ pub(crate) fn run_fused(
             .iter()
             .flat_map(|s| s.launch.overwritten.iter().copied())
             .collect();
+        // `(segment, worker, outcome)`; each worker's write log is
+        // `states[worker].log`.
         let mut tagged = Vec::with_capacity(total);
         let mut first_err: Option<BlockError> = None;
         let buffers_src: &Vec<BufferStorage> = buffers;
@@ -572,17 +655,22 @@ pub(crate) fn run_fused(
         std::thread::scope(|s| {
             let handles: Vec<_> = image_pool[..workers]
                 .iter_mut()
+                .zip(&mut states[..workers])
                 .enumerate()
-                .map(|(w, image)| {
+                .map(|(w, (image, state))| {
                     s.spawn(move || {
                         refresh_image(image, buffers_src, overwritten, refresh);
-                        Worker::new(image).drain(dispatch_ref, || queue_ref.pop(w), abort_ref, true)
+                        state.reset();
+                        let mut worker = Worker {
+                            buffers: image,
+                            state,
+                        };
+                        worker.drain(dispatch_ref, || queue_ref.pop(w), abort_ref, true)
                     })
                 })
                 .collect();
             for handle in handles {
-                let (done, err) = handle.join().expect("executor worker panicked");
-                tagged.extend(done);
+                let err = handle.join().expect("executor worker panicked");
                 // Deterministic-ish selection: report the failure with the
                 // lowest (segment, block) among those observed.
                 if let Some(e) = err {
@@ -595,11 +683,18 @@ pub(crate) fn run_fused(
         if let Some((si, _, source)) = first_err {
             return Err(eval_error(&segments[si].launch, source));
         }
+        for (w, state) in states[..workers].iter_mut().enumerate() {
+            tagged.extend(state.done.drain(..).map(|(si, o)| (si, w, o)));
+        }
         debug_assert_eq!(tagged.len(), total);
-        tagged.sort_by_key(|(si, o): &(usize, BlockOutcome)| (*si, o.block));
+        tagged.sort_by_key(|(si, _, o): &(usize, usize, BlockOutcome)| (*si, o.block));
         let mut outcomes = tagged.into_iter().peekable();
         for (si, segment) in dispatch.segments.iter().enumerate() {
-            let blocks = std::iter::from_fn(|| outcomes.next_if(|(s, _)| *s == si).map(|(_, o)| o));
+            let blocks = std::iter::from_fn(|| {
+                let (_, w, o) = outcomes.next_if(|(s, ..)| *s == si)?;
+                let writes = &states[w].log[o.writes.clone()];
+                Some((o, writes))
+            });
             exits.push(fold(segment, blocks, buffers)?);
         }
     }
@@ -607,8 +702,15 @@ pub(crate) fn run_fused(
     let wall = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let mut results = Vec::with_capacity(segments.len());
     for (segment, (mut stats, l1, constant_cache)) in segments.iter_mut().zip(exits) {
-        *segment.l1 = l1;
-        *segment.constant_cache = constant_cache;
+        let spent = (
+            std::mem::replace(segment.l1, l1),
+            std::mem::replace(segment.constant_cache, constant_cache),
+        );
+        // The worker that ran the last block gave its spare caches away;
+        // the replaced pair becomes a spare again.
+        if let Some(state) = states.iter_mut().find(|s| s.caches.is_none()) {
+            state.caches = Some(spent);
+        }
         stats.workers = workers as u64;
         stats.wall_nanos = wall;
         results.push(stats);
@@ -616,24 +718,24 @@ pub(crate) fn run_fused(
     Ok(results)
 }
 
-/// Fold one segment's block outcomes, given in ascending block order:
-/// sum the stats, replay the write logs into `buffers`, and return the
-/// stats with the exit caches — the last block's final caches, counters
-/// advanced from the segment's entry counters by the summed deltas.
-fn fold(
+/// Fold one segment's block outcomes, given in ascending block order with
+/// their write logs: sum the stats, replay the writes into `buffers`, and
+/// return the stats with the exit caches — the last block's final caches,
+/// counters advanced from the segment's entry counters by the summed
+/// deltas.
+fn fold<'l>(
     segment: &FusedSegment<'_>,
-    outcomes: impl Iterator<Item = BlockOutcome>,
+    outcomes: impl Iterator<Item = (BlockOutcome, &'l [LoggedWrite])>,
     buffers: &mut [BufferStorage],
 ) -> Result<(LaunchStats, Cache, Cache), LaunchError> {
     let mut stats = LaunchStats::default();
-    let mut last = None;
-    for outcome in outcomes {
+    let mut exit = None;
+    for (outcome, writes) in outcomes {
         stats += outcome.stats;
-        replay_writes(buffers, &outcome.log).map_err(|e| eval_error(&segment.launch, e))?;
-        last = Some(outcome);
+        replay_writes(buffers, writes).map_err(|e| eval_error(&segment.launch, e))?;
+        exit = outcome.caches;
     }
-    let last = last.expect("every segment has at least one block");
-    let (mut l1, mut constant_cache) = (last.l1, last.constant_cache);
+    let (mut l1, mut constant_cache) = exit.expect("a segment's last block keeps its caches");
     l1.set_counters(
         segment.l1.hits() + stats.l1_hits,
         segment.l1.misses() + stats.l1_misses,
@@ -669,20 +771,27 @@ fn store_permutation(seed: u64, block_id: u64, lanes: usize) -> Vec<usize> {
     order
 }
 
-/// Run a single block to completion and return its stats and final caches.
+/// Run a single block to completion against the given caches and return
+/// its stats.
 #[allow(clippy::too_many_arguments)]
 fn exec_block(
     launch: &Launch<'_>,
     block_id: usize,
     buffers: &mut Vec<BufferStorage>,
     log: Option<&mut Vec<LoggedWrite>>,
-    l1: Cache,
-    constant_cache: Cache,
+    l1: &mut Cache,
+    constant_cache: &mut Cache,
     iterations: &AtomicU64,
     scratch: &mut ScratchPool,
     bc: &mut crate::bytecode::BcScratch,
-) -> Result<(LaunchStats, Cache, Cache), EvalError> {
+) -> Result<LaunchStats, EvalError> {
     let lanes = launch.block.count();
+    let mut shared = std::mem::take(&mut scratch.shared);
+    shared.resize_with(launch.kernel.shared.len(), Vec::new);
+    for (arr, decl) in shared.iter_mut().zip(&launch.kernel.shared) {
+        arr.clear();
+        arr.resize(decl.len, Scalar::zero(decl.ty));
+    }
     let mut ctx = ExecCtx {
         profile: launch.profile,
         program: launch.program,
@@ -696,12 +805,7 @@ fn exec_block(
         l1,
         constant_cache,
         stats: LaunchStats::default(),
-        shared: launch
-            .kernel
-            .shared
-            .iter()
-            .map(|decl| vec![Scalar::zero(decl.ty); decl.len])
-            .collect(),
+        shared,
         block_x: (block_id % launch.grid.x) as i32,
         block_y: (block_id / launch.grid.x) as i32,
         iterations,
@@ -717,15 +821,22 @@ fn exec_block(
     ctx.stats.blocks = 1;
     ctx.stats.warps = lanes.div_ceil(ctx.profile.warp_width) as u64;
     ctx.stats.overhead_cycles = ctx.profile.block_overhead;
-    match launch.compiled {
-        Some(prog) => crate::bytecode::execute(&mut ctx, prog, bc, launch.profile_counts)?,
+    let result = match launch.compiled {
+        Some(prog) => crate::bytecode::execute(&mut ctx, prog, bc, launch.profile_counts),
         None => {
             let mask = LaneMask::full(lanes);
             let mut frame = Frame::for_kernel(ctx.kernel.locals.len());
-            ctx.run_block(&launch.kernel.body, &mask, &mut frame)?;
+            ctx.run_block(&launch.kernel.body, &mask, &mut frame)
         }
-    }
-    Ok((ctx.stats, ctx.l1, ctx.constant_cache))
+    };
+    let ExecCtx {
+        stats,
+        shared,
+        scratch,
+        ..
+    } = ctx;
+    scratch.shared = shared;
+    result.map(|_| stats)
 }
 
 pub(crate) struct ExecCtx<'a> {
@@ -740,9 +851,9 @@ pub(crate) struct ExecCtx<'a> {
     /// `Some` when the block must be isolated (multi-block launches):
     /// every global write is recorded for revert + ordered replay.
     pub(crate) log: Option<&'a mut Vec<LoggedWrite>>,
-    /// Block-private cache snapshots (cloned from launch-entry state).
-    pub(crate) l1: Cache,
-    pub(crate) constant_cache: Cache,
+    /// Block-private cache snapshots (copied from launch-entry state).
+    pub(crate) l1: &'a mut Cache,
+    pub(crate) constant_cache: &'a mut Cache,
     pub(crate) stats: LaunchStats,
     pub(crate) shared: Vec<Vec<Scalar>>,
     pub(crate) block_x: i32,
@@ -1327,20 +1438,18 @@ impl ExecCtx<'_> {
     fn charge_shared_access<I: LaneGet>(&mut self, idx: &I, mask: &Mask) -> Result<(), EvalError> {
         const BANKS: usize = 32;
         let (w, lanes) = (self.profile.warp_width, self.lanes);
-        for (start, end) in active_warp_ranges(w, lanes, mask) {
+        let words = &mut self.scratch.keys;
+        for range in active_warp_ranges(w, lanes, mask) {
             // Conflict degree: max number of *distinct word addresses*
-            // mapping to the same bank within the warp.
-            let mut per_bank: Vec<Vec<i64>> = vec![Vec::new(); BANKS];
-            for lane in start..end {
-                if mask.get(lane) {
-                    let word = Self::index_to_i64(idx.lane(lane))?;
-                    let bank = (word.rem_euclid(BANKS as i64)) as usize;
-                    if !per_bank[bank].contains(&word) {
-                        per_bank[bank].push(word);
-                    }
-                }
+            // mapping to the same bank within the warp. (A word's bank is
+            // its `rem_euclid(32)`, which its two's-complement `u64` bits
+            // preserve.)
+            warp_keys(words, idx, mask, range, |word| word as u64)?;
+            let mut per_bank = [0u64; BANKS];
+            for &word in words.iter() {
+                per_bank[(word % BANKS as u64) as usize] += 1;
             }
-            let degree = per_bank.iter().map(|v| v.len()).max().unwrap_or(1).max(1) as u64;
+            let degree = per_bank.iter().copied().max().unwrap_or(0).max(1);
             self.stats.shared_accesses += 1;
             self.stats.bank_conflict_extra += degree - 1;
             self.stats.memory_cycles += self.profile.shared_lat * degree;
@@ -1385,18 +1494,11 @@ impl ExecCtx<'_> {
     ) -> Result<(), EvalError> {
         let line = self.l1.line() as u64;
         let (w, lanes) = (self.profile.warp_width, self.lanes);
-        for (start, end) in active_warp_ranges(w, lanes, mask) {
-            let mut segments: Vec<u64> = Vec::new();
-            for lane in start..end {
-                if mask.get(lane) {
-                    let i = Self::index_to_i64(idx.lane(lane))?;
-                    let addr = base + (i as u64) * 4;
-                    let seg = addr / line;
-                    if !segments.contains(&seg) {
-                        segments.push(seg);
-                    }
-                }
-            }
+        let segments = &mut self.scratch.keys;
+        for range in active_warp_ranges(w, lanes, mask) {
+            warp_keys(segments, idx, mask, range, |i| {
+                (base + (i as u64) * 4) / line
+            })?;
             let transactions = segments.len() as u64;
             self.stats.loads += 1;
             self.stats.instructions += 1;
@@ -1404,7 +1506,7 @@ impl ExecCtx<'_> {
             self.stats.serialized_transactions += transactions.saturating_sub(1);
             let mut hits = 0u64;
             let mut misses = 0u64;
-            for seg in segments {
+            for &seg in segments.iter() {
                 if self.l1.access(seg * line) {
                     hits += 1;
                 } else {
@@ -1438,26 +1540,18 @@ impl ExecCtx<'_> {
     ) -> Result<(), EvalError> {
         let line = self.constant_cache.line() as u64;
         let (w, lanes) = (self.profile.warp_width, self.lanes);
-        for (start, end) in active_warp_ranges(w, lanes, mask) {
+        let words = &mut self.scratch.keys;
+        for range in active_warp_ranges(w, lanes, mask) {
             // The constant cache broadcasts one word per cycle: distinct
             // word addresses within a warp serialize.
-            let mut words: Vec<u64> = Vec::new();
-            for lane in start..end {
-                if mask.get(lane) {
-                    let i = Self::index_to_i64(idx.lane(lane))?;
-                    let addr = base + (i as u64) * 4;
-                    if !words.contains(&addr) {
-                        words.push(addr);
-                    }
-                }
-            }
+            warp_keys(words, idx, mask, range, |i| base + (i as u64) * 4)?;
             self.stats.loads += 1;
             self.stats.instructions += 1;
             self.stats.load_transactions += words.len() as u64;
             self.stats.serialized_transactions += (words.len() as u64).saturating_sub(1);
             let mut hits = 0u64;
             let mut misses = 0u64;
-            for addr in words {
+            for &addr in words.iter() {
                 if self.constant_cache.access((addr / line) * line) {
                     hits += 1;
                 } else {
@@ -1568,18 +1662,11 @@ impl ExecCtx<'_> {
                 } else {
                     self.profile.store_lat
                 };
-                for (start, end) in active_warp_ranges(w, lanes, mask) {
-                    let mut segments: Vec<u64> = Vec::new();
-                    for lane in start..end {
-                        if mask.get(lane) {
-                            let i = Self::index_to_i64(idx.lane(lane))?;
-                            let addr = base + (i as u64) * 4;
-                            let seg = addr / line;
-                            if !segments.contains(&seg) {
-                                segments.push(seg);
-                            }
-                        }
-                    }
+                let segments = &mut self.scratch.keys;
+                for range in active_warp_ranges(w, lanes, mask) {
+                    warp_keys(segments, idx, mask, range, |i| {
+                        (base + (i as u64) * 4) / line
+                    })?;
                     self.stats.stores += 1;
                     self.stats.instructions += 1;
                     self.stats.memory_cycles += store_lat * segments.len() as u64;

@@ -184,6 +184,7 @@ fn execute_fused_inner(
             &mut segments,
             &mut device.buffers,
             &mut device.image_pool,
+            &mut device.worker_states,
             &device.refresh,
         )?;
         drop(segments);

@@ -199,13 +199,24 @@ fn coalesced_loads_issue_fewer_transactions_than_gather() {
 
 #[test]
 fn shared_memory_bank_conflicts_cost_extra() {
+    // The conflict degree of a warp access is the largest number of
+    // *distinct* words mapping to one of the 32 banks; lanes reading the
+    // same word share it. Each kernel makes one store and one load per
+    // warp, so `bank_conflict_extra` is twice the per-access extra.
+    // stride 0: all lanes one word (broadcast); stride 1: each lane its
+    // own bank; stride 2: two words per bank; stride 32: all lanes bank 0.
+    let cases = [
+        ("broadcast", 0, 0),
+        ("conflict_free", 1, 0),
+        ("stride_two", 2, 2),
+        ("conflicted", 32, 62),
+    ];
     let mut program = Program::new();
-    for (name, stride) in [("conflict_free", 1), ("conflicted", 32)] {
+    for (name, stride, _) in cases {
         let mut kb = KernelBuilder::new(name);
         let output = kb.buffer("out", Ty::F32, MemSpace::Global);
         let shared = kb.shared_array("s", Ty::F32, 32 * 32);
         let tid = kb.let_("tid", KernelBuilder::thread_id_x());
-        // stride 1: each lane its own bank; stride 32: all lanes bank 0.
         let idx = kb.let_("idx", tid.clone() * Expr::i32(stride));
         kb.store(shared, idx.clone(), Expr::f32(1.0));
         kb.sync();
@@ -213,27 +224,21 @@ fn shared_memory_bank_conflicts_cost_extra() {
         kb.store(output, tid, v);
         program.add_kernel(kb.finish());
     }
-    let free_id = program.kernel_by_name("conflict_free").unwrap();
-    let conflicted_id = program.kernel_by_name("conflicted").unwrap();
 
     let mut d = gpu();
     let out = d.alloc_f32(MemSpace::Global, &[0.0; 32]);
     let args = [ArgValue::Buffer(out)];
-    let s_free = d
-        .launch(&program, free_id, Dim2::linear(1), Dim2::linear(32), &args)
-        .unwrap();
-    let s_conf = d
-        .launch(
-            &program,
-            conflicted_id,
-            Dim2::linear(1),
-            Dim2::linear(32),
-            &args,
-        )
-        .unwrap();
-    assert_eq!(s_free.bank_conflict_extra, 0);
-    assert!(s_conf.bank_conflict_extra >= 62); // 31 extra on store + load
-    assert!(s_conf.memory_cycles > s_free.memory_cycles);
+    let mut cycles = Vec::new();
+    for (name, _, extra) in cases {
+        let kid = program.kernel_by_name(name).unwrap();
+        let s = d
+            .launch(&program, kid, Dim2::linear(1), Dim2::linear(32), &args)
+            .unwrap();
+        assert_eq!(s.bank_conflict_extra, extra, "{name}");
+        assert_eq!(s.shared_accesses, 2, "{name}");
+        cycles.push(s.memory_cycles);
+    }
+    assert!(cycles[1] < cycles[2] && cycles[2] < cycles[3]);
 }
 
 #[test]

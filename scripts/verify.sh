@@ -39,6 +39,12 @@ echo "==> perfbench build (the repository benchmark still compiles)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml \
   --target-dir "${CARGO_TARGET_DIR:-.bench_build}"
 
+echo "==> perfbench unit tests (the benchmark's own helpers)"
+# Percentile rule, self time, due-time latency, failure accounting and
+# span recording: the helpers every benchmark figure goes through.
+cargo test --offline --manifest-path perfbench/Cargo.toml \
+  --target-dir "${CARGO_TARGET_DIR:-.bench_build}"
+
 echo "==> paraprox-cli analyze smoke (13 apps, test scale, JSON partition gate)"
 # Machine-readable pass over every app: the analyze command itself exits
 # non-zero on error-severity findings, and the JSON is additionally
